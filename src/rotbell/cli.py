@@ -139,7 +139,7 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
         args.trials,
         seed=args.seed,
         include_optimal=not args.skip_optimal,
-        config=OptimizerConfig(random_starts=args.starts),
+        config=_optimizer_config(args),
     )
     payload = {
         "n_parties": report.n_parties,

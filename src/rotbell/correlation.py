@@ -17,12 +17,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidSizeError, ShapeError
-from .states import DensityMatrix, PauliAxis, pauli_expectation
+from .states import DensityMatrix, planar_expectations
 
 _ENTRY_BOUND = 1.0 + 1e-9
-
-#: Planar axis for each tensor index value (index 1 -> x, index 2 -> y).
-PLANAR_AXES = (PauliAxis.X, PauliAxis.Y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +44,8 @@ class CorrelationTensor:
                 f"expected shape {(2,) * self.n_parties}, got {vals.shape}"
             )
         peak = float(np.max(np.abs(vals))) if vals.size else 0.0
-        if peak > _ENTRY_BOUND:
-            raise DomainError(f"tensor entry magnitude {peak} exceeds 1")
+        if not peak <= _ENTRY_BOUND:  # NaN fails too
+            raise DomainError(f"tensor entry magnitude {peak} exceeds 1 or is not finite")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -91,18 +88,18 @@ class CorrelationTensor:
     def from_json_dict(cls, data: dict) -> "CorrelationTensor":
         try:
             n = int(data["n"])
-            raw = data.get("entries", {})
-        except (KeyError, TypeError, ValueError) as exc:
+            entries = {key: float(value) for key, value in data.get("entries", {}).items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed tensor document: {exc}") from None
         if n < 1:
             raise InvalidSizeError(f"n must be >= 1, got {n}")
         vals = np.zeros((2,) * n)
-        for key, value in raw.items():
+        for key, value in entries.items():
             if len(key) != n or any(c not in "12" for c in key):
                 raise DomainError(
                     f"entry key {key!r} is not a length-{n} string over digits 1 and 2"
                 )
-            vals[tuple(int(c) - 1 for c in key)] = float(value)
+            vals[tuple(int(c) - 1 for c in key)] = value
         return cls(n, vals)
 
 
@@ -140,12 +137,7 @@ def product_contraction(values: np.ndarray, vectors: Sequence[np.ndarray]) -> fl
 
 def tensor_from_state(rho: DensityMatrix) -> CorrelationTensor:
     """Measure all 2^N planar full-correlation values of a state."""
-    n = rho.n_parties
-    vals = np.empty((2,) * n)
-    for idx in np.ndindex(*vals.shape):
-        axes = [PLANAR_AXES[i] for i in idx]
-        vals[idx] = pauli_expectation(rho, axes)
-    return CorrelationTensor(n, vals)
+    return CorrelationTensor(rho.n_parties, planar_expectations(rho))
 
 
 def ghz_planar_tensor(n_parties: int, visibility: float) -> CorrelationTensor:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -52,6 +51,8 @@ _PAULI = {
     PauliAxis.Y: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     PauliAxis.Z: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+#: Flip f per axis: the nonzero entries of each Pauli are sigma[b xor f, b], b = 0, 1.
+_FLIPS = {PauliAxis.X: 1, PauliAxis.Y: 1, PauliAxis.Z: 0}
 
 AxisLike = Union[PauliAxis, str]
 
@@ -95,31 +96,24 @@ class StateVector:
                 f"got shape {amp.shape}"
             )
         norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise DomainError(f"squared-amplitude sum {norm_sq} differs from 1")
         amp = amp.copy()
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
-
-    def as_qubit_tensor(self) -> np.ndarray:
-        """Amplitudes reshaped to (2,)*N with axis j-1 indexing party j."""
-        return self.amplitudes.reshape((2,) * self.n_parties)
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Mixed N-qubit state as a dense 2^N x 2^N matrix.
 
-    When produced by :func:`mix_with_white_noise`, ``pure_state`` and
-    ``visibility`` record the decomposition V|psi><psi| + (1-V) 1/2^N so
-    that full-correlation expectations can be taken on the pure state and
-    scaled by V instead of tracing against the dense matrix.
+    Rows and columns use the :class:`StateVector` basis order.  Full
+    Pauli-product expectations read only the 2^N entries rho[b, b xor f]
+    selected by the product's flip mask f (see :func:`pauli_expectation`).
     """
 
     n_parties: int
     entries: np.ndarray
-    pure_state: StateVector | None = None
-    visibility: float | None = None
 
     def __post_init__(self):
         if self.n_parties < 1:
@@ -128,6 +122,8 @@ class DensityMatrix:
         mat = np.asarray(self.entries, dtype=complex)
         if mat.shape != (dim, dim):
             raise ShapeError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise DomainError("density matrix entries must be finite")
         if np.max(np.abs(mat - mat.conj().T)) > _HERMITIAN_TOL:
             raise DomainError("density matrix is not Hermitian")
         tr = complex(np.trace(mat))
@@ -161,34 +157,45 @@ def mix_with_white_noise(
     dim = 2**state.n_parties
     mat = visibility * np.outer(state.amplitudes, state.amplitudes.conj())
     mat += (1.0 - visibility) / dim * np.eye(dim)
-    return DensityMatrix(state.n_parties, mat, pure_state=state, visibility=visibility)
+    return DensityMatrix(state.n_parties, mat)
 
 
-def _apply_pauli(axis: PauliAxis, qubit_tensor: np.ndarray, party: int) -> np.ndarray:
-    out = np.tensordot(_PAULI[axis], qubit_tensor, axes=([1], [party]))
-    return np.moveaxis(out, 0, party)
+def _gather_and_phase(rho: DensityMatrix, mask: int, tables: Sequence) -> np.ndarray:
+    """Real part of sum_b rho[b, b xor mask] prod_j tables[j][..., b_j], in O(N 2^N).
 
-
-def _pure_expectation(state: StateVector, axes: Sequence[PauliAxis]) -> float:
-    phi = state.as_qubit_tensor()
-    for party, axis in enumerate(axes):
-        phi = _apply_pauli(axis, phi, party)
-    return float(np.vdot(state.as_qubit_tensor(), phi).real)
+    Table j is a phase row (2,) or a stack of rows (k, 2); each contraction
+    consumes party j's axis and appends the stack axis, if any, at the end.
+    """
+    ket = np.arange(2**rho.n_parties)
+    out = rho.entries[ket, ket ^ mask].reshape((2,) * rho.n_parties)
+    for table in tables:
+        out = np.tensordot(out, table, axes=([0], [-1]))
+    return out.real
 
 
 def pauli_expectation(rho: DensityMatrix, axes: Sequence[AxisLike]) -> float:
     """Expectation of the N-fold Pauli product sigma_a1 x ... x sigma_aN.
 
-    For white-noise mixtures the value is taken on the pure part and
-    scaled by the visibility; every full Pauli product is traceless, so
-    the noise term contributes exactly zero.
+    Tr(rho P) = sum_b rho[b, b xor f] prod_j <b_j xor f_j|sigma_aj|b_j>,
+    where the flip mask f has a bit set for every x or y factor, so only
+    2^N entries of rho contribute.
     """
     resolved = [_as_axis(a) for a in axes]
     if len(resolved) != rho.n_parties:
         raise ShapeError(
             f"got {len(resolved)} axes for a {rho.n_parties}-party state"
         )
-    if rho.pure_state is not None and rho.visibility is not None:
-        return rho.visibility * _pure_expectation(rho.pure_state, resolved)
-    product = reduce(np.kron, [_PAULI[a] for a in resolved])
-    return float(np.sum(rho.entries * product.T).real)
+    flips = [_FLIPS[a] for a in resolved]
+    rows = [_PAULI[a][[f, 1 - f], [0, 1]] for a, f in zip(resolved, flips)]
+    mask = int("".join(map(str, flips)), 2)
+    return float(_gather_and_phase(rho, mask, rows))
+
+
+def planar_expectations(rho: DensityMatrix) -> np.ndarray:
+    """All 2^N expectations of x/y Pauli products, shape (2,)*N.
+
+    Axis j-1 is party j, with 0 for x and 1 for y.  Every such product flips
+    all qubits, so this is the anti-diagonal rho[b, ~b] phased per party.
+    """
+    rows = np.stack([_PAULI[a][[1, 0], [0, 1]] for a in (PauliAxis.X, PauliAxis.Y)])
+    return _gather_and_phase(rho, 2**rho.n_parties - 1, [rows] * rho.n_parties)

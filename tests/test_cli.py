@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from rotbell import CorrelationTensor
+from rotbell import CorrelationTensor, cli
 from rotbell.cli import main
 
 
@@ -72,6 +72,25 @@ class TestTmaxCommand:
         path.write_text('{"n": 2, "entries": {"13": 1.0}}')
         code, _, _ = run_cli(capsys, "tmax", "--in", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["tmax", "check"])
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"n": 2, "entries": {"11": NaN}}',
+            '{"n": 2, "entries": {"11": Infinity}}',
+            '{"n": 2, "entries": {"11": "abc"}}',
+            '{"n": 2, "entries": [1]}',
+        ],
+    )
+    def test_bad_entries_exit_2(self, tmp_path, capsys, command, document):
+        path = tmp_path / "bad.json"
+        path.write_text(document)
+        code, out, err = run_cli(capsys, command, "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 class TestCheckCommand:
@@ -155,6 +174,26 @@ class TestVerifyBoundCommand:
         assert doc["max_found"] <= doc["bound"] + 1e-8
         assert doc["trials"] == 100
         assert doc["seed"] == 5
+
+    def test_optimizer_gets_cli_seed(self, tmp_path, capsys, monkeypatch):
+        seen = {}
+        real = cli.verify_bound
+
+        def spy(tensor, trials, **kwargs):
+            seen.update(kwargs)
+            return real(tensor, trials, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_bound", spy)
+        path = tmp_path / "t.json"
+        run_cli(capsys, "tensor", "--ghz", "2", "--visibility", "0.8", "--out", str(path))
+        code, _, _ = run_cli(
+            capsys, "verify-bound", "--in", str(path), "--trials", "5",
+            "--seed", "11", "--starts", "3",
+        )
+        assert code == 0
+        assert seen["seed"] == 11
+        assert seen["config"].seed == 11
+        assert seen["config"].random_starts == 3
 
     def test_deterministic_in_seed(self, tmp_path, capsys):
         path = tmp_path / "t.json"

@@ -82,6 +82,19 @@ class TestTensorFromState:
         for idx in ((1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 2)):
             assert tensor.entry(idx) == pytest.approx(0.0, abs=1e-12)
 
+    def test_random_dense_states_against_trace_oracle(self, wishart):
+        rng = np.random.default_rng(41)
+        for n in range(1, 7):
+            rho = DensityMatrix(n, wishart(rng, n))
+            tensor = tensor_from_state(rho)
+            for idx, value in oracle_tensor(rho.entries, n).items():
+                assert tensor.entry(idx) == pytest.approx(value, abs=1e-12)
+
+    def test_ghz10_matches_closed_form(self):
+        measured = tensor_from_state(mix_with_white_noise(build_ghz(10), 0.7))
+        closed = ghz_planar_tensor(10, 0.7)
+        np.testing.assert_allclose(measured.values, closed.values, rtol=0, atol=1e-12)
+
 
 class TestGhzPlanarTensor:
     def test_n4_sign_rule(self):
@@ -229,6 +242,18 @@ class TestTensorLayoutAndJson:
             tensor.entry((0, 1))
         with pytest.raises(ShapeError):
             tensor.entry((1, 1, 1))
+
+    def test_json_rejects_non_numeric_entries(self):
+        for entries in ({"11": "abc"}, {"11": None}, {"11": [1.0]}, [1], "11"):
+            with pytest.raises(DomainError):
+                CorrelationTensor.from_json_dict({"n": 2, "entries": entries})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(DomainError):
+            CorrelationTensor(1, np.array([bad, 0.0]))
+        with pytest.raises(DomainError):
+            CorrelationTensor.from_json_dict({"n": 2, "entries": {"11": bad}})
 
     def test_tensor_bounds_validation(self):
         with pytest.raises(DomainError):

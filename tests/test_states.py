@@ -39,6 +39,10 @@ class TestPauliAxis:
     def test_squares_to_identity(self, axis):
         np.testing.assert_allclose(axis.matrix @ axis.matrix, np.eye(2), atol=1e-15)
 
+    @pytest.mark.parametrize("axis", list(PauliAxis))
+    def test_matrix_matches_standard_form(self, axis):
+        np.testing.assert_array_equal(axis.matrix, ORACLE_PAULI[axis.value])
+
 
 class TestBuildGhz:
     def test_single_party(self):
@@ -80,6 +84,11 @@ class TestStateVector:
     def test_rejects_wrong_length(self):
         with pytest.raises(ShapeError):
             StateVector(2, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            StateVector(1, np.array([1.0, bad]))
 
 
 class TestMixWithWhiteNoise:
@@ -138,6 +147,14 @@ class TestDensityMatrixValidation:
         with pytest.raises(DomainError):
             DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, 0.0)])
+    @pytest.mark.parametrize("where", [(0, 3), (1, 1)])
+    def test_rejects_non_finite(self, bad, where):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[where] = mat[where[::-1]] = bad
+        with pytest.raises(DomainError):
+            DensityMatrix(2, mat)
+
 
 class TestPauliExpectation:
     def test_ghz2_xx_and_yy(self):
@@ -171,7 +188,6 @@ class TestPauliExpectation:
         for n in (1, 2, 3, 4):
             mixed = mix_with_white_noise(build_ghz(n), 0.8)
             dense = DensityMatrix(n, mixed.entries)
-            assert dense.pure_state is None
             for _ in range(5):
                 axes = rng.choice(list("xyz"), size=n)
                 assert pauli_expectation(mixed, axes) == pytest.approx(
@@ -202,6 +218,17 @@ class TestPauliExpectation:
             rho = DensityMatrix(n, mix_with_white_noise(build_ghz(n), 0.6).entries)
             for _ in range(8):
                 axes = "".join(rng.choice(list("xyz"), size=n))
+                assert pauli_expectation(rho, axes) == pytest.approx(
+                    trace_oracle(rho.entries, axes), abs=1e-12
+                )
+
+    def test_random_dense_states_against_trace_oracle(self, wishart):
+        rng = np.random.default_rng(37)
+        for n in range(1, 7):
+            rho = DensityMatrix(n, wishart(rng, n))
+            strings = ["z" * n, "x" * n, "y" * n]
+            strings += ["".join(rng.choice(list("xyz"), size=n)) for _ in range(6)]
+            for axes in strings:
                 assert pauli_expectation(rho, axes) == pytest.approx(
                     trace_oracle(rho.entries, axes), abs=1e-12
                 )
