@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidSizeError, ShapeError
-from .states import DensityMatrix, planar_expectations
+from .states import MAX_STATE_PARTIES, DensityMatrix, _check_party_count, planar_expectations
 
 _ENTRY_BOUND = 1.0 + 1e-9
 
@@ -87,12 +87,13 @@ class CorrelationTensor:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTensor":
         try:
-            n = int(data["n"])
+            n = data["n"]
             entries = {key: float(value) for key, value in data.get("entries", {}).items()}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed tensor document: {exc}") from None
-        if n < 1:
-            raise InvalidSizeError(f"n must be >= 1, got {n}")
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise DomainError(f"malformed tensor document: n must be an integer, got {n!r}")
+        _check_party_count(n, MAX_STATE_PARTIES)
         vals = np.zeros((2,) * n)
         for key, value in entries.items():
             if len(key) != n or any(c not in "12" for c in key):
@@ -147,8 +148,7 @@ def ghz_planar_tensor(n_parties: int, visibility: float) -> CorrelationTensor:
     V * (-1)^(k/2); entries with odd k vanish.  Exactly 2^(N-1) entries
     are nonzero, all of magnitude V.
     """
-    if n_parties < 1:
-        raise InvalidSizeError(f"n_parties must be >= 1, got {n_parties}")
+    _check_party_count(n_parties, MAX_STATE_PARTIES)
     if not 0.0 <= visibility <= 1.0:
         raise DomainError(f"visibility must lie in [0, 1], got {visibility}")
     flat = np.zeros(2**n_parties)

@@ -72,14 +72,10 @@ class ScanPoint:
     region: str
 
 
-def ri_criterion(
-    tensor: CorrelationTensor, config: OptimizerConfig | None = None
-) -> CriterionReport:
-    """Evaluate the rotational-invariance exclusion test for a tensor."""
-    top = t_max(tensor, config)
+def _report(tensor: CorrelationTensor, top_value: float, certified: bool) -> CriterionReport:
+    """Both sides of the exclusion test, given the tensor's T_max."""
     lhs = analytic_inner_product(tensor, tensor)
-    rhs = 4.0**tensor.n_parties * top.value
-    sum_sq = sum_of_squares(tensor)
+    rhs = 4.0**tensor.n_parties * top_value
     return CriterionReport(
         n_parties=tensor.n_parties,
         lhs=lhs,
@@ -87,9 +83,17 @@ def ri_criterion(
         violated=lhs > rhs,
         two_setting_model=two_setting_model_exists(tensor),
         margin=lhs - rhs,
-        sum_sq=sum_sq,
-        certified=top.certified,
+        sum_sq=sum_of_squares(tensor),
+        certified=certified,
     )
+
+
+def ri_criterion(
+    tensor: CorrelationTensor, config: OptimizerConfig | None = None
+) -> CriterionReport:
+    """Evaluate the rotational-invariance exclusion test for a tensor."""
+    top = t_max(tensor, config)
+    return _report(tensor, top.value, top.certified)
 
 
 def ghz_thresholds(n_parties: int) -> GhzThresholds:
@@ -120,7 +124,10 @@ def ghz_scan(
 
     ``steps`` is the number of grid points (numpy.linspace semantics:
     both endpoints included for steps >= 2, just v_min for steps = 1).
-    Points are independent; rows are returned in grid order.
+    The maximization runs once per scan: GHZ(N, V) = V * GHZ(N, 1) and
+    T_max is positively homogeneous, so each point's T_max is V times
+    that of GHZ(N, 1), with its certification flag.  Rows are returned
+    in grid order.
     """
     if not 0.0 <= v_min <= v_max <= 1.0:
         raise DomainError(
@@ -128,8 +135,10 @@ def ghz_scan(
         )
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
+    top = t_max(ghz_planar_tensor(n_parties, 1.0), config)
     points = []
     for v in np.linspace(v_min, v_max, steps):
-        report = ri_criterion(ghz_planar_tensor(n_parties, float(v)), config)
-        points.append(ScanPoint(float(v), report, classify(report)))
+        v = float(v)
+        report = _report(ghz_planar_tensor(n_parties, v), v * top.value, top.certified)
+        points.append(ScanPoint(v, report, classify(report)))
     return points

@@ -2,12 +2,17 @@
 
 The maximum of the correlation function over all product settings is the
 largest contraction of the tensor with per-party unit 2-vectors.  It is
-found by alternating maximization: with all parties but one fixed, the
-partial contraction is a 2-vector whose normalization is the exact
-per-party optimum, so each step is closed-form and the objective never
-decreases.  Deterministic multistart (seeded random starts plus
-axis-aligned ones) guards against local maxima; for small party counts
-an exhaustive angle grid with local refinement certifies the result.
+found by alternating maximization (the higher-order power method): with
+all parties but one fixed, the partial contraction is a 2-vector whose
+normalization is the exact per-party optimum, so each step is
+closed-form and the objective never decreases.  Deterministic
+multistart (seeded random starts plus axis-aligned ones) guards against
+local maxima; for small party counts an exhaustive angle grid with local
+refinement certifies the result.
+
+All S starts ascend together as one (S, N, 2) batch, which costs
+O(N * 2^N) per start per sweep and O(S * 2^N) memory.  Each start stops
+at its own convergence, and among equal values the first start wins.
 """
 
 from __future__ import annotations
@@ -66,56 +71,90 @@ class TMaxResult:
         object.__setattr__(self, "maximizer", arr)
 
 
-def _ascend(values: np.ndarray, start: np.ndarray, max_sweeps: int, tol: float):
-    """Alternating per-party maximization from one starting point."""
+def _kron_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product of two (S, a) and (S, b) arrays."""
+    return (left[:, :, None] * right[:, None, :]).reshape(len(left), -1)
+
+
+def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, tol: float):
+    """Alternating per-party maximization from every start at once.
+
+    ``starts`` is an (S, N, 2) array of directions.  Party j's gradient is
+    the Kronecker row of the updated directions of parties < j, times the
+    tensor reshaped (2^j, 2 * 2^(N-1-j)), contracted with the Kronecker row
+    of the old directions of parties > j.  A row leaves the batch at its
+    own convergence, so its sweep count is what a lone ascent would take.
+    Returns the directions, values, sweep counts and convergence flags.
+    """
     n = values.ndim
-    ds = start.copy()
-    value = product_contraction(values, ds)
+    ds = starts.copy()
+    count = len(ds)
+    full = np.ones((count, 1))
+    for j in range(n):
+        full = _kron_rows(full, ds[:, j])
+    value = full @ values.reshape(-1)
+    sweeps = np.full(count, max_sweeps)
+    converged = np.zeros(count, dtype=bool)
+    blocks = [values.reshape(2**j, -1) for j in range(n)]
+    active = np.arange(count)
     for sweep in range(1, max_sweeps + 1):
-        previous = value
+        if active.size == 0:
+            break
+        sub = ds[active]
+        rows = len(sub)
+        suffixes = [np.ones((rows, 1))]
+        for j in range(n - 1, 0, -1):
+            suffixes.append(_kron_rows(sub[:, j], suffixes[-1]))
+        prefix = np.ones((rows, 1))
         for j in range(n):
-            grad = values
-            for k in range(n - 1, -1, -1):
-                if k != j:
-                    grad = np.tensordot(grad, ds[k], axes=([k], [0]))
-            norm = float(np.hypot(grad[0], grad[1]))
-            if norm > 0.0:
-                ds[j] = grad / norm
+            half = (prefix @ blocks[j]).reshape(rows, 2, -1)
+            grad = np.einsum("sar,sr->sa", half, suffixes[n - 1 - j])
+            norm = np.hypot(grad[:, 0], grad[:, 1])
             # zero gradient: any direction is optimal, keep the previous one
-            value = norm if norm > 0.0 else float(grad @ ds[j])
-        if value - previous < tol:
-            return ds, value, sweep, True
-    return ds, value, max_sweeps, False
+            moved = norm > 0.0
+            sub[moved, j] = grad[moved] / norm[moved, None]
+            if j < n - 1:
+                prefix = _kron_rows(prefix, sub[:, j])
+        ds[active] = sub
+        done = norm - value[active] < tol
+        value[active] = norm
+        sweeps[active[done]] = sweep
+        converged[active[done]] = True
+        active = active[~done]
+    return ds, value, sweeps, converged
 
 
-def _start_points(values: np.ndarray, config: OptimizerConfig) -> list[np.ndarray]:
+def _start_points(values: np.ndarray, config: OptimizerConfig) -> np.ndarray:
+    """All starting directions as one (S, N, 2) array, in tie-break order."""
     n = values.ndim
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
-    starts: list[np.ndarray] = []
 
     # Corner of the largest-magnitude entry, sign-corrected so its initial
     # objective is |T_i*|; monotone ascent then keeps value >= max |T_i|.
-    flat_key = int(np.argmax(np.abs(values.reshape(-1, order="F"))))
-    corner = np.array([e2 if (flat_key >> j) & 1 else e1 for j in range(n)])
-    if values.reshape(-1, order="F")[flat_key] < 0.0:
+    flat = values.reshape(-1, order="F")
+    flat_key = int(np.argmax(np.abs(flat)))
+    bits = (flat_key >> np.arange(n)) & 1
+    corner = np.where(bits[:, None] == 1, e2, e1)
+    if flat[flat_key] < 0.0:
         corner[0] = -corner[0]
-    starts.append(corner)
 
     # 2N axis-aligned starts: all-x with party j on y, all-y with party j on x.
-    for j in range(n):
-        pattern = np.tile(e1, (n, 1))
-        pattern[j] = e2
-        starts.append(pattern)
-        pattern = np.tile(e2, (n, 1))
-        pattern[j] = e1
-        starts.append(pattern)
+    on_j = np.eye(n, dtype=bool)[:, :, None]
+    axis = np.stack([np.where(on_j, e2, e1), np.where(on_j, e1, e2)], axis=1)
 
-    for i in range(config.random_starts):
-        rng = np.random.default_rng([config.seed, i])
-        angles = rng.uniform(0.0, _TWO_PI, n)
-        starts.append(np.stack([np.cos(angles), np.sin(angles)], axis=1))
-    return starts
+    angles = np.array(
+        [
+            np.random.default_rng([config.seed, i]).uniform(0.0, _TWO_PI, n)
+            for i in range(config.random_starts)
+        ]
+    ).reshape(-1, n)
+    seeded = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+    starts = [corner[None], axis.reshape(2 * n, n, 2), seeded]
+    if n <= config.certify_max_parties:
+        starts.append(_grid_argmax(values, config.grid_points)[None])
+    return np.concatenate(starts)
 
 
 def _grid_argmax(values: np.ndarray, grid_points: int) -> np.ndarray:
@@ -134,48 +173,29 @@ def _grid_argmax(values: np.ndarray, grid_points: int) -> np.ndarray:
 def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> TMaxResult:
     """Largest correlation-function value over all planar product settings.
 
-    Deterministic for a fixed config: per-start seeds derive from the
-    master seed and ties between starts break toward the earlier one, so
-    the result does not depend on evaluation order.
+    All starts ascend together as one batch, each stopping at its own
+    convergence; ``iterations`` sums their sweeps and ``starts_used``
+    counts them.  Deterministic for a fixed config: per-start seeds
+    derive from the master seed and a tie goes to the first start in
+    order (corner, axis-aligned, random, grid), so the result does not
+    depend on evaluation order.  Memory is O(S * 2^N) for S starts.
     """
     cfg = config or OptimizerConfig()
     values = np.asarray(tensor.values)
-
-    best_ds = None
-    best_value = -math.inf
-    best_converged = False
-    total_sweeps = 0
     starts = _start_points(values, cfg)
-    for start in starts:
-        ds, value, sweeps, converged = _ascend(
-            values, start, cfg.max_sweeps, cfg.improvement_tol
-        )
-        total_sweeps += sweeps
-        if value > best_value:
-            best_ds, best_value, best_converged = ds, value, converged
-    starts_used = len(starts)
-
-    certified = False
-    if tensor.n_parties <= cfg.certify_max_parties:
-        refined_start = _grid_argmax(values, cfg.grid_points)
-        ds, value, sweeps, converged = _ascend(
-            values, refined_start, cfg.max_sweeps, cfg.improvement_tol
-        )
-        total_sweeps += sweeps
-        starts_used += 1
-        if value > best_value:
-            best_ds, best_value, best_converged = ds, value, converged
-        certified = best_converged
-
-    norms = np.linalg.norm(best_ds, axis=1)
-    maximizer = best_ds / norms[:, None]
+    ds, found, sweeps, converged = _ascend(
+        values, starts, cfg.max_sweeps, cfg.improvement_tol
+    )
+    best = int(np.argmax(found))
+    maximizer = ds[best] / np.linalg.norm(ds[best], axis=1)[:, None]
+    best_converged = bool(converged[best])
     return TMaxResult(
         value=product_contraction(values, maximizer),
         maximizer=maximizer,
-        iterations=total_sweeps,
-        starts_used=starts_used,
+        iterations=int(sweeps.sum()),
+        starts_used=len(starts),
         converged=best_converged,
-        certified=certified,
+        certified=best_converged and tensor.n_parties <= cfg.certify_max_parties,
     )
 
 

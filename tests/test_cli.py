@@ -81,6 +81,10 @@ class TestTmaxCommand:
             '{"n": 2, "entries": {"11": Infinity}}',
             '{"n": 2, "entries": {"11": "abc"}}',
             '{"n": 2, "entries": [1]}',
+            '{"n": 1.9, "entries": {"1": 0.5}}',
+            '{"n": "2", "entries": {}}',
+            '{"n": true, "entries": {}}',
+            '{"n": 100, "entries": {}}',
         ],
     )
     def test_bad_entries_exit_2(self, tmp_path, capsys, command, document):
@@ -208,6 +212,20 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tensor", "--ghz", "100", "--visibility", "0.5"),
+            ("scan", "--ghz", "100", "--v-min", "0.3", "--v-max", "0.4", "--steps", "3"),
+        ],
+    )
+    def test_party_count_above_cap_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     def test_missing_required_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -230,6 +230,17 @@ class TestTensorLayoutAndJson:
         assert tensor.entry((1, 1)) == 1.0
         assert tensor.entry((2, 2)) == 0.0
 
+    @pytest.mark.parametrize("n", [1.9, 2.0, "2", True, None, [2]])
+    def test_json_rejects_non_integer_n(self, n):
+        with pytest.raises(DomainError):
+            CorrelationTensor.from_json_dict({"n": n, "entries": {}})
+
+    def test_party_count_capped_before_allocation(self):
+        with pytest.raises(InvalidSizeError):
+            CorrelationTensor.from_json_dict({"n": 100, "entries": {}})
+        with pytest.raises(InvalidSizeError):
+            ghz_planar_tensor(100, 0.5)
+
     def test_json_rejects_bad_keys(self):
         with pytest.raises(DomainError):
             CorrelationTensor.from_json_dict({"n": 2, "entries": {"13": 1.0}})

@@ -131,6 +131,16 @@ class TestGhzScan:
                 if abs(p.visibility - v_ri) > boundary_tol:
                     assert p.report.violated == (p.visibility > v_ri)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_per_point_criterion(self, n):
+        # one optimization per scan, by homogeneity, against one per point
+        for point in ghz_scan(n, 0.0, 1.0, 21):
+            report = ri_criterion(ghz_planar_tensor(n, point.visibility))
+            assert point.report.rhs == pytest.approx(report.rhs, rel=1e-12, abs=0)
+            for field in ("lhs", "sum_sq", "violated", "two_setting_model", "certified"):
+                assert getattr(point.report, field) == getattr(report, field)
+            assert point.region == classify(report)
+
     def test_range_validation(self):
         with pytest.raises(DomainError):
             ghz_scan(3, 0.5, 0.4, 3)

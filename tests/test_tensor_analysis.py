@@ -7,6 +7,7 @@ import pytest
 
 from rotbell import (
     CorrelationTensor,
+    DensityMatrix,
     OptimizerConfig,
     ShapeError,
     analytic_inner_product,
@@ -16,7 +17,10 @@ from rotbell import (
     rotate_frames,
     sum_of_squares,
     t_max,
+    tensor_from_state,
 )
+from rotbell.correlation import product_contraction
+from rotbell.tensor_analysis import _ascend, _start_points
 
 
 def diagonal_n2_tensor():
@@ -25,6 +29,40 @@ def diagonal_n2_tensor():
 
 def random_tensor(rng, n, scale=1.0):
     return CorrelationTensor(n, scale * rng.uniform(-1, 1, size=(2,) * n))
+
+
+def haar_tensor(rng, n):
+    amp = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    amp /= np.linalg.norm(amp)
+    return tensor_from_state(DensityMatrix(n, np.outer(amp, amp.conj())))
+
+
+def single_entry_tensor(rng, n):
+    values = np.zeros((2,) * n)
+    values[tuple(rng.integers(0, 2, n))] = -0.6
+    return CorrelationTensor(n, values)
+
+
+def reference_ascent(values, start, max_sweeps, tol):
+    """One-start alternating maximization, party by party with tensordot:
+    the oracle for the batched kernel."""
+    n = values.ndim
+    ds = start.copy()
+    value = product_contraction(values, ds)
+    for sweep in range(1, max_sweeps + 1):
+        previous = value
+        for j in range(n):
+            grad = values
+            for k in range(n - 1, -1, -1):
+                if k != j:
+                    grad = np.tensordot(grad, ds[k], axes=([k], [0]))
+            norm = float(np.hypot(grad[0], grad[1]))
+            if norm > 0.0:
+                ds[j] = grad / norm
+            value = norm if norm > 0.0 else float(grad @ ds[j])
+        if value - previous < tol:
+            return ds, value, sweep, True
+    return ds, value, max_sweeps, False
 
 
 class TestTMax:
@@ -101,6 +139,44 @@ class TestTMax:
         result = t_max(ghz_planar_tensor(3, 0.8), OptimizerConfig(max_sweeps=0))
         assert not result.converged
         assert not result.certified
+
+
+class TestBatchedAscent:
+    @pytest.mark.parametrize("random_starts", [0, 64])
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("family", [random_tensor, haar_tensor, single_entry_tensor])
+    def test_matches_best_reference_start(self, family, n, random_starts):
+        rng = np.random.default_rng([n, random_starts, len(family.__name__)])
+        tensor = family(rng, n)
+        cfg = OptimizerConfig(random_starts=random_starts, seed=n)
+        starts = _start_points(tensor.values, cfg)
+        runs = [
+            reference_ascent(tensor.values, start, cfg.max_sweeps, cfg.improvement_tol)
+            for start in starts
+        ]
+        # each row stops at its own convergence, as a lone ascent would; a
+        # slowly converging row stops within a few improvement_tol of its
+        # maximum, so rows agree to 1e-10, not to rounding
+        _, values, sweeps, converged = _ascend(
+            tensor.values, starts, cfg.max_sweeps, cfg.improvement_tol
+        )
+        np.testing.assert_allclose(values, [r[1] for r in runs], rtol=0, atol=1e-10)
+        assert np.max(np.abs(sweeps - [r[2] for r in runs])) <= 1
+        np.testing.assert_array_equal(converged, [r[3] for r in runs])
+        # the best start, the earliest one on a tie
+        best = max(range(len(runs)), key=lambda i: (runs[i][1], -i))
+        result = t_max(tensor, cfg)
+        assert result.value == pytest.approx(runs[best][1], abs=1e-12)
+        assert result.starts_used == len(runs)
+        assert result.converged == runs[best][3]
+        assert result.certified == (runs[best][3] and n <= cfg.certify_max_parties)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_zero_tensor_keeps_first_start(self, n):
+        # every start ties at 0, so the first one (the all-x corner) wins
+        result = t_max(CorrelationTensor(n, np.zeros((2,) * n)))
+        np.testing.assert_array_equal(result.maximizer, np.tile([1.0, 0.0], (n, 1)))
+        assert result.iterations == result.starts_used
 
 
 class TestSumOfSquares:
