@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .correlation import CorrelationTensor, ghz_planar_tensor
 from .criterion import CriterionReport, ScanPoint, ghz_scan, ri_criterion
-from .errors import RotbellError
+from .errors import DomainError, RotbellError
 from .lhv import verify_bound
 from .tensor_analysis import OptimizerConfig, t_max
 
@@ -40,7 +40,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_tensor(path: str) -> CorrelationTensor:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long int, deep nesting
+        raise DomainError(f"{path} is not a readable JSON document: {exc}") from None
     return CorrelationTensor.from_json_dict(data)
 
 
@@ -222,10 +225,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except RotbellError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (OSError, json.JSONDecodeError) as exc:
+    except (RotbellError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

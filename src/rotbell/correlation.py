@@ -89,7 +89,7 @@ class CorrelationTensor:
         try:
             n = data["n"]
             entries = {key: float(value) for key, value in data.get("entries", {}).items()}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed tensor document: {exc}") from None
         if not isinstance(n, int) or isinstance(n, bool):
             raise DomainError(f"malformed tensor document: n must be an integer, got {n!r}")

@@ -83,21 +83,33 @@ class FourierProjection:
     beta_defined: bool
 
 
-def project(response: ResponseFunction) -> FourierProjection:
-    """Closed-form cos/sin overlaps of a sign function.
+def sign_overlaps(breakpoints, flips, signs) -> np.ndarray:
+    """Cos/sin overlaps of many sign functions at once, shape (..., 2).
 
-    Integrating piecewise and telescoping leaves only the breakpoint
-    terms, so constants project to exactly zero.
+    Each function is one row of ``breakpoints`` (last axis, sorted) whose
+    first ``flips`` entries are its breakpoints; the rest is padding and
+    is never read.  ``signs`` holds the leading signs.  Integrating
+    piecewise telescopes to the breakpoint terms alone,
+    a = 2s * sum_k (-1)^k sin(t_k) and b = -2s * sum_k (-1)^k cos(t_k),
+    so constants project to exactly zero.
     """
-    bps = np.asarray(response.breakpoints)
-    s = float(response.leading_sign)
-    if bps.size:
-        alt = np.where(np.arange(bps.size) % 2 == 0, 1.0, -1.0)
-        a = 2.0 * s * float(np.sum(alt * np.sin(bps)))
-        b = -2.0 * s * float(np.sum(alt * np.cos(bps)))
-    else:
-        a = 0.0
-        b = 0.0
+    points = np.asarray(breakpoints, dtype=float)
+    lead, width = points.shape[:-1], points.shape[-1]
+    used = np.flatnonzero(np.arange(width) < np.reshape(flips, (-1, 1)))
+    rows = used // width
+    t = points.reshape(-1)[used]
+    alt = np.where(used % width % 2 == 0, 1.0, -1.0)
+    count = math.prod(lead)
+    a = np.bincount(rows, alt * np.sin(t), minlength=count)
+    b = np.bincount(rows, alt * np.cos(t), minlength=count)
+    scale = 2.0 * np.reshape(signs, -1)
+    return np.stack([scale * a, -scale * b], axis=-1).reshape(lead + (2,))
+
+
+def project(response: ResponseFunction) -> FourierProjection:
+    """Closed-form cos/sin overlaps of a sign function (see ``sign_overlaps``)."""
+    bps = response.breakpoints
+    a, b = (float(x) for x in sign_overlaps(bps, len(bps), response.leading_sign))
     norm = math.hypot(a, b) / math.sqrt(math.pi)
     if norm > 0.0:
         beta = math.atan2(b, a) % _TWO_PI

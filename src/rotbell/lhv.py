@@ -7,23 +7,41 @@ collapses, party by party, to the tensor contracted with the per-party
 cos/sin overlaps, which caps it at 4^N times the maximal tensor
 component.  The constructions here evaluate that inner product in closed
 form, build the strategy that attains the cap, and stress-test the bound
-with random ensembles.
+with random ensembles.  The stress test draws its ensembles as arrays
+(one row per strategy, an owner index per row) and scores a whole block
+of them with one overlap kernel and one contraction; the random-object
+constructors are views of the same sampler.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import CorrelationTensor, product_contraction
+from .correlation import CorrelationTensor
 from .errors import DomainError, ShapeError
-from .functional_space import ResponseFunction, project, saturating_response
+from .functional_space import (
+    _TWO_PI,
+    ResponseFunction,
+    project,
+    saturating_response,
+    sign_overlaps,
+)
 from .tensor_analysis import OptimizerConfig, sum_of_squares, t_max
 
-_TWO_PI = 2.0 * math.pi
 _WEIGHT_SUM_TOL = 1e-12
+_MAX_FLIPS = 8
+_MAX_STRATEGIES = 4
+
+#: Floats one block of ``verify_bound`` trials may hold.  A trial has up
+#: to _MAX_STRATEGIES strategy rows; a row holds about 2^N contraction
+#: entries and eight sampling temporaries of _MAX_FLIPS breakpoints per
+#: party.  The trials per block follow from 2^N, so memory does not grow
+#: with the trial count.
+_BLOCK_FLOATS = 2**21
 
 #: Slack added to the bound when counting violations (optimizer accuracy).
 BOUND_TOLERANCE = 1e-8
@@ -93,6 +111,20 @@ class BoundVerification:
     seed: int
 
 
+def _strategy_values(values: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """Tensor contracted with each row's per-party overlaps: (S, N, 2) -> (S,).
+
+    Party 1 is contracted first, by one matrix product over all rows;
+    each later party halves the (S, 2^(N-j)) partial contraction, so one
+    pass costs O(S * 2^N).
+    """
+    rows = len(overlaps)
+    out = overlaps[:, 0] @ values.reshape(2, -1)
+    for j in range(1, values.ndim):
+        out = np.einsum("sar,sa->sr", out.reshape(rows, 2, -1), overlaps[:, j])
+    return out[:, 0]
+
+
 def lr_inner_product(strategy: DeterministicStrategy, tensor: CorrelationTensor) -> float:
     """Inner product of a deterministic model's correlation function with E_T.
 
@@ -105,11 +137,8 @@ def lr_inner_product(strategy: DeterministicStrategy, tensor: CorrelationTensor)
             f"{strategy.n_parties}-party strategy against "
             f"{tensor.n_parties}-party tensor"
         )
-    overlaps = []
-    for response in strategy.responses:
-        p = project(response)
-        overlaps.append(np.array([p.a, p.b]))
-    return product_contraction(tensor.values, overlaps)
+    overlaps = np.array([[p.a, p.b] for p in map(project, strategy.responses)])
+    return float(_strategy_values(np.asarray(tensor.values), overlaps[None])[0])
 
 
 def ensemble_inner_product(ensemble: LhvEnsemble, tensor: CorrelationTensor) -> float:
@@ -151,31 +180,89 @@ def two_setting_model_exists(tensor: CorrelationTensor) -> bool:
     return sum_of_squares(tensor) <= 1.0 + 1e-12
 
 
-def random_response(rng: np.random.Generator, max_flips: int = 8) -> ResponseFunction:
+class _TrialDraw(NamedTuple):
+    """Random ensembles as arrays: strategy row s belongs to trial owner[s]."""
+
+    owner: np.ndarray  # (S,)
+    points: np.ndarray  # (S, N, _MAX_FLIPS) sorted breakpoints, padded
+    flips: np.ndarray  # (S, N)
+    signs: np.ndarray  # (S, N)
+    weights: np.ndarray  # (S,), summing to 1 over each trial's rows
+
+
+def _draw_responses(rng: np.random.Generator, shape: tuple, max_flips: int = _MAX_FLIPS):
+    """Padded breakpoint rows, flip counts and leading signs of random responses.
+
+    Flip counts are uniform over {0, 2, ..., max_flips}, flip positions
+    uniform on [0, 2*pi), leading signs uniform.  A row with a repeated
+    breakpoint is drawn again.
+    """
+    flips = 2 * rng.integers(0, max_flips // 2 + 1, size=shape)
+    k = np.arange(2 * (max_flips // 2))
+
+    def sorted_rows(count: np.ndarray) -> np.ndarray:
+        fresh = rng.uniform(0.0, _TWO_PI, count.shape + k.shape)
+        return np.sort(np.where(k < count[..., None], fresh, _TWO_PI + k), axis=-1)
+
+    points = sorted_rows(flips)
+    # padding is 2*pi + k, above every breakpoint and increasing, so any
+    # non-increasing step is a repeated breakpoint
+    redraw = np.any(np.diff(points, axis=-1) <= 0.0, axis=-1)
+    while redraw.any():
+        points[redraw] = sorted_rows(flips[redraw])
+        redraw = np.any(np.diff(points, axis=-1) <= 0.0, axis=-1)
+    signs = 1.0 - 2.0 * rng.integers(0, 2, size=shape)
+    return points, flips, signs
+
+
+def _draw_trials(
+    rng: np.random.Generator, trials: int, n_parties: int, max_strategies: int = _MAX_STRATEGIES
+) -> _TrialDraw:
+    """Sample ensembles: strategy count uniform in 1..max_strategies,
+    weights Dirichlet(1), i.e. exponentials normalised per trial."""
+    owner = np.repeat(np.arange(trials), rng.integers(1, max_strategies + 1, size=trials))
+    points, flips, signs = _draw_responses(rng, (owner.size, n_parties))
+    mass = rng.standard_exponential(owner.size)
+    return _TrialDraw(owner, points, flips, signs, mass / np.bincount(owner, mass)[owner])
+
+
+def _trial_values(draw: _TrialDraw, values: np.ndarray) -> np.ndarray:
+    """Each trial's weighted inner product with the tensor ``values``."""
+    overlaps = sign_overlaps(draw.points, draw.flips, draw.signs)
+    rows = draw.weights * _strategy_values(values, overlaps)
+    return np.bincount(draw.owner, rows)
+
+
+def _strategy_view(points, flips, signs) -> DeterministicStrategy:
+    return DeterministicStrategy(
+        ResponseFunction(p[:f], s) for p, f, s in zip(points, flips, signs)
+    )
+
+
+def _ensemble_view(draw: _TrialDraw, trial: int) -> LhvEnsemble:
+    """The ensemble object that trial ``trial`` of ``draw`` describes."""
+    rows = np.flatnonzero(draw.owner == trial)
+    strategies = [_strategy_view(draw.points[r], draw.flips[r], draw.signs[r]) for r in rows]
+    return LhvEnsemble(strategies, draw.weights[rows])
+
+
+def random_response(rng: np.random.Generator, max_flips: int = _MAX_FLIPS) -> ResponseFunction:
     """Sample a response: flip count uniform over {0, 2, ..., max_flips},
     flip positions uniform, leading sign uniform."""
-    flips = int(rng.choice(np.arange(0, max_flips + 1, 2)))
-    while True:
-        points = np.sort(rng.uniform(0.0, _TWO_PI, flips))
-        if flips == 0 or np.all(np.diff(points) > 0.0):
-            break
-    leading = 1 if rng.random() < 0.5 else -1
-    return ResponseFunction(tuple(points), leading)
+    points, flips, signs = _draw_responses(rng, (1,), max_flips)
+    return ResponseFunction(points[0, : flips[0]], signs[0])
 
 
 def random_strategy(rng: np.random.Generator, n_parties: int) -> DeterministicStrategy:
-    return DeterministicStrategy(random_response(rng) for _ in range(n_parties))
+    return _strategy_view(*_draw_responses(rng, (n_parties,)))
 
 
 def random_ensemble(
-    rng: np.random.Generator, n_parties: int, max_strategies: int = 4
+    rng: np.random.Generator, n_parties: int, max_strategies: int = _MAX_STRATEGIES
 ) -> LhvEnsemble:
     """Sample an ensemble: strategy count uniform in 1..max_strategies,
     weights uniform on the simplex."""
-    count = int(rng.integers(1, max_strategies + 1))
-    strategies = [random_strategy(rng, n_parties) for _ in range(count)]
-    weights = rng.dirichlet(np.ones(count))
-    return LhvEnsemble(strategies, weights)
+    return _ensemble_view(_draw_trials(rng, 1, n_parties, max_strategies), 0)
 
 
 def verify_bound(
@@ -191,20 +278,28 @@ def verify_bound(
     as a violation (reported, not raised).  With ``include_optimal`` the
     saturating strategy joins the comparison so ``max_found`` approaches
     the bound.  The optimizer's certification flag is carried through.
+
+    Trials are drawn as arrays (strategy counts, flip counts, padded
+    sorted breakpoints, leading signs, Dirichlet weights) and scored by
+    one overlap kernel and one contraction, in blocks of a fixed number
+    of trials set by 2^N (see ``_BLOCK_FLOATS``), so memory does not
+    grow with ``trial_count``.
     """
     if trial_count < 1:
         raise DomainError(f"trial_count must be >= 1, got {trial_count}")
+    n = tensor.n_parties
     top = t_max(tensor, config)
-    bound = 4.0**tensor.n_parties * top.value
+    bound = 4.0**n * top.value
 
+    values = np.asarray(tensor.values)
+    block = max(1, _BLOCK_FLOATS // (_MAX_STRATEGIES * (2**n + 8 * _MAX_FLIPS * n)))
     rng = np.random.default_rng(seed)
     max_found = -math.inf
     violations = 0
-    for _ in range(trial_count):
-        value = ensemble_inner_product(random_ensemble(rng, tensor.n_parties), tensor)
-        max_found = max(max_found, value)
-        if value > bound + BOUND_TOLERANCE:
-            violations += 1
+    for start in range(0, trial_count, block):
+        found = _trial_values(_draw_trials(rng, min(block, trial_count - start), n), values)
+        max_found = max(max_found, float(found.max()))
+        violations += int(np.count_nonzero(found > bound + BOUND_TOLERANCE))
     if include_optimal:
         value = lr_inner_product(_saturating_strategy(top.maximizer), tensor)
         max_found = max(max_found, value)

@@ -24,8 +24,10 @@ import numpy as np
 
 from .correlation import CorrelationTensor, product_contraction
 from .errors import ShapeError
+from .functional_space import _TWO_PI
 
-_TWO_PI = 2.0 * math.pi
+#: Grid values ``_grid_argmax`` holds at once when it has to stream.
+_GRID_SLAB_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -158,14 +160,29 @@ def _start_points(values: np.ndarray, config: OptimizerConfig) -> np.ndarray:
 
 
 def _grid_argmax(values: np.ndarray, grid_points: int) -> np.ndarray:
-    """Directions of the best point on the per-axis uniform angle grid."""
+    """Directions of the best point on the per-axis uniform angle grid.
+
+    The grid is streamed in slabs along party 1's angle, each holding at
+    most max(_GRID_SLAB_ENTRIES, 2 * grid_points^(N-1)) values; for N <= 3
+    one slab covers it.  A later slab wins only if strictly greater, so
+    the first maximum in C order is kept, as one argmax would keep it.
+    Slabs are at least two angles wide: a one-angle first contraction
+    takes another matrix-product path and rounds differently.
+    """
     n = values.ndim
     nodes = _TWO_PI * np.arange(grid_points) / grid_points
     basis = np.stack([np.cos(nodes), np.sin(nodes)])  # (2, grid_points)
-    out = values
-    for _ in range(n):
-        out = np.tensordot(out, basis, axes=([0], [0]))
-    best = np.unravel_index(int(np.argmax(out)), out.shape)
+    width = max(2, _GRID_SLAB_ENTRIES // grid_points ** (n - 1))
+    top, best = -math.inf, None
+    for lo in range(0, grid_points, width):
+        out = np.tensordot(values, basis[:, lo : lo + width], axes=([0], [0]))
+        for _ in range(n - 1):
+            out = np.tensordot(out, basis, axes=([0], [0]))
+        flat = int(np.argmax(out))
+        if out.flat[flat] > top:
+            top = out.flat[flat]
+            best = np.unravel_index(flat, out.shape)
+            best = (best[0] + lo, *best[1:])
     angles = nodes[list(best)]
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 

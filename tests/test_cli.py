@@ -1,12 +1,39 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotbell import CorrelationTensor, cli
 from rotbell.cli import main
+from rotbell.states import MAX_STATE_PARTIES
+
+#: Any document json.loads can return (NaN and Infinity included).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+#: Documents close to the tensor format, so that they reach the later checks.
+TENSOR_LIKE = st.fixed_dictionaries(
+    {"n": st.integers(-1, MAX_STATE_PARTIES + 1) | JSON_VALUES},
+    optional={
+        "entries": st.dictionaries(
+            st.text("12", max_size=MAX_STATE_PARTIES + 1),
+            st.floats(-1.5, 1.5) | JSON_VALUES,
+            max_size=6,
+        )
+        | JSON_VALUES
+    },
+)
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +122,42 @@ class TestTmaxCommand:
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            b'{"n": 1, "entries": {"1": 1' + b"0" * 400 + b"}}",  # int beyond float range
+            b'{"n": 1, "entries": {"1": 1' + b"0" * 5000 + b"}}",  # int beyond the digit limit
+            b"[" * 100_000 + b"]" * 100_000,  # nesting beyond the recursion limit
+            b'{"n": 1, "entries": {"\xe9": 1}}',  # not UTF-8
+        ],
+        ids=["int-overflow", "int-digits", "deep-nesting", "not-utf8"],
+    )
+    def test_unreadable_documents_exit_2(self, tmp_path, capsys, document):
+        path = tmp_path / "bad.json"
+        path.write_bytes(document)
+        code, out, err = run_cli(capsys, "tmax", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
+class TestArbitraryDocuments:
+    @given(document=JSON_VALUES | TENSOR_LIKE, command=st.sampled_from(["tmax", "check"]))
+    @settings(max_examples=200, deadline=None)
+    def test_exit_0_or_2_with_error_lines_only(self, document, command):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(document), encoding="utf-8")
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, "--in", str(path)])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2)
+        assert all(line.startswith("error: ") for line in lines)
+        assert len(lines) == (code == 2)
 
 
 class TestCheckCommand:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rotbell import (
     lr_inner_product,
     optimal_strategy,
     random_ensemble,
+    random_response,
     random_strategy,
     saturating_response,
     sum_of_squares,
@@ -26,6 +28,8 @@ from rotbell import (
     two_setting_model_exists,
     verify_bound,
 )
+from rotbell.functional_space import sign_overlaps
+from rotbell.lhv import _draw_responses, _draw_trials, _ensemble_view, _trial_values
 
 TWO_PI = 2 * math.pi
 
@@ -208,6 +212,97 @@ class TestVerifyBound:
         first = verify_bound(tensor, 100, seed=6)
         second = verify_bound(tensor, 100, seed=6)
         assert first == second
+
+
+class RepeatFirstDraw:
+    """Generator wrapper whose first uniform draw repeats one value per row."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.repeated = False
+
+    def uniform(self, low, high, size):
+        out = self.rng.uniform(low, high, size)
+        if not self.repeated:
+            self.repeated = True
+            out[..., :] = out[..., :1]
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_trial_values_match_object_path(self, n):
+        rng = np.random.default_rng([11, n])
+        tensor = random_tensor(rng, n)
+        draw = _draw_trials(rng, 40, n)
+        found = _trial_values(draw, np.asarray(tensor.values))
+        assert found.shape == (40,)
+        for trial, value in enumerate(found):
+            ensemble = _ensemble_view(draw, trial)
+            assert value == pytest.approx(ensemble_inner_product(ensemble, tensor), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_trial_value_against_quadrature_oracle(self, n):
+        rng = np.random.default_rng([12, n])
+        tensor = random_tensor(rng, n)
+        draw = _draw_trials(rng, 3, n)
+        found = _trial_values(draw, np.asarray(tensor.values))
+        for trial, value in enumerate(found):
+            ensemble = _ensemble_view(draw, trial)
+            oracle = sum(
+                w * quad_lr_oracle(s, tensor)
+                for s, w in zip(ensemble.strategies, ensemble.weights)
+            )
+            assert value == pytest.approx(oracle, abs=1e-8)
+
+    def test_distribution(self):
+        draw = _draw_trials(np.random.default_rng(13), 2000, 3)
+        counts = np.bincount(draw.owner)
+        assert counts.size == 2000
+        assert set(counts) == {1, 2, 3, 4}
+        assert set(draw.flips.ravel()) == {0, 2, 4, 6, 8}
+        assert set(draw.signs.ravel()) == {-1.0, 1.0}
+        for row, flips in zip(draw.points.reshape(-1, 8), draw.flips.ravel()):
+            points = row[:flips]
+            assert np.all((points >= 0.0) & (points < TWO_PI))
+            assert np.all(np.diff(points) > 0.0)
+        assert np.all(draw.weights >= 0.0)
+        np.testing.assert_allclose(np.bincount(draw.owner, draw.weights), 1.0, atol=1e-12)
+
+    def test_repeated_breakpoints_are_drawn_again(self):
+        rng = RepeatFirstDraw(14)
+        points, flips, _ = _draw_responses(rng, (50, 3))
+        assert rng.repeated
+        for row, count in zip(points.reshape(-1, 8), flips.ravel()):
+            assert np.all(np.diff(row[:count]) > 0.0)
+
+    def test_zero_flip_rows_project_to_zero(self):
+        points, flips, signs = _draw_responses(np.random.default_rng(15), (6, 3), 0)
+        assert points.shape == (6, 3, 0)
+        np.testing.assert_array_equal(sign_overlaps(points, flips, signs), 0.0)
+
+    def test_object_views_are_valid(self):
+        rng = np.random.default_rng(16)
+        for max_flips in (0, 2, 7, 8):
+            assert len(random_response(rng, max_flips).breakpoints) <= max_flips
+        assert random_strategy(rng, 5).n_parties == 5
+        ensemble = random_ensemble(rng, 4, max_strategies=2)
+        assert ensemble.n_parties == 4 and len(ensemble.strategies) <= 2
+
+    def test_memory_does_not_grow_with_trials(self):
+        tensor = ghz_planar_tensor(8, 0.7)
+        verify_bound(tensor, 10)  # warm caches outside the measurement
+        peaks = []
+        for trials in (1_000, 100_000):
+            tracemalloc.start()
+            report = verify_bound(tensor, trials, seed=17)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert report.trials == trials and report.violations == 0
+        assert peaks[1] - peaks[0] < 20 * 2**20
 
 
 class TestGeneralizedBellBound:

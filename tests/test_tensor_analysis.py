@@ -1,6 +1,7 @@
 """Tests for the planar maximizer and tensor inner products."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from rotbell import (
     tensor_from_state,
 )
 from rotbell.correlation import product_contraction
-from rotbell.tensor_analysis import _ascend, _start_points
+from rotbell.tensor_analysis import _ascend, _grid_argmax, _start_points
 
 
 def diagonal_n2_tensor():
@@ -41,6 +42,18 @@ def single_entry_tensor(rng, n):
     values = np.zeros((2,) * n)
     values[tuple(rng.integers(0, 2, n))] = -0.6
     return CorrelationTensor(n, values)
+
+
+def dense_grid_argmax(values, grid_points):
+    """The whole grid_points^N angle grid in one array, first maximum in C
+    order: the oracle for the slab-streamed grid."""
+    nodes = 2 * math.pi * np.arange(grid_points) / grid_points
+    basis = np.stack([np.cos(nodes), np.sin(nodes)])
+    out = values
+    for _ in range(values.ndim):
+        out = np.tensordot(out, basis, axes=([0], [0]))
+    angles = nodes[list(np.unravel_index(int(np.argmax(out)), out.shape))]
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
 def reference_ascent(values, start, max_sweeps, tol):
@@ -177,6 +190,38 @@ class TestBatchedAscent:
         result = t_max(CorrelationTensor(n, np.zeros((2,) * n)))
         np.testing.assert_array_equal(result.maximizer, np.tile([1.0, 0.0], (n, 1)))
         assert result.iterations == result.starts_used
+
+
+class TestGridArgmax:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_dense_grid(self, n):
+        rng = np.random.default_rng([21, n])
+        tensors = [ghz_planar_tensor(n, v) for v in (0.1, 0.34, 0.5, 1.0)]
+        tensors += [family(rng, n) for family in (random_tensor, haar_tensor) for _ in range(8)]
+        for tensor in tensors:
+            values = np.asarray(tensor.values)
+            np.testing.assert_array_equal(
+                _grid_argmax(values, 48), dense_grid_argmax(values, 48)
+            )
+
+    def test_slabs_bound_memory(self):
+        # the dense 24^5 grid alone is 64 MB; two-angle slabs hold 5.3 MB
+        values = np.asarray(ghz_planar_tensor(5, 0.5).values)
+        tracemalloc.start()
+        found = _grid_argmax(values, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 16 * 2**20
+        np.testing.assert_array_equal(found, dense_grid_argmax(values, 24))
+
+    def test_narrow_slabs_match_dense_grid(self):
+        # at N=5 on 24 angles a slab is held to the two-angle minimum
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            values = np.asarray(random_tensor(rng, 5).values)
+            np.testing.assert_array_equal(
+                _grid_argmax(values, 24), dense_grid_argmax(values, 24)
+            )
 
 
 class TestSumOfSquares:
