@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .correlation import CorrelationTensor, ghz_planar_tensor
-from .criterion import CriterionReport, ScanPoint, ghz_scan, ri_criterion
+from .criterion import ScanPoint, ghz_scan, ri_criterion
 from .errors import DomainError, RotbellError
 from .lhv import verify_bound
 from .tensor_analysis import OptimizerConfig, t_max
@@ -22,14 +23,6 @@ EXIT_INVALID = 2
 EXIT_NOT_CERTIFIED = 3
 
 SCAN_COLUMNS = ("N", "V", "lhs", "rhs", "violated", "sum_sq", "two_setting_model", "region")
-
-
-def _format_float(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _format_bool(x: bool) -> str:
-    return "true" if x else "false"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -51,48 +44,25 @@ def _optimizer_config(args: argparse.Namespace) -> OptimizerConfig:
     return OptimizerConfig(random_starts=args.starts, seed=args.seed)
 
 
-def _report_dict(report: CriterionReport) -> dict:
-    return {
-        "n_parties": report.n_parties,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "violated": report.violated,
-        "two_setting_model": report.two_setting_model,
-        "margin": report.margin,
-        "sum_sq": report.sum_sq,
-        "certified": report.certified,
-    }
+def _exit_code(args: argparse.Namespace, certified: bool) -> int:
+    return EXIT_NOT_CERTIFIED if args.require_certified and not certified else EXIT_OK
 
 
 def _scan_row(point: ScanPoint) -> dict:
-    r = point.report
-    return {
-        "N": r.n_parties,
-        "V": point.visibility,
-        "lhs": r.lhs,
-        "rhs": r.rhs,
-        "violated": r.violated,
-        "sum_sq": r.sum_sq,
-        "two_setting_model": r.two_setting_model,
-        "region": point.region,
-    }
+    report = point.report
+    fields = dict(asdict(report), N=report.n_parties, V=point.visibility, region=point.region)
+    return {column: fields[column] for column in SCAN_COLUMNS}
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def _scan_csv(points: list[ScanPoint]) -> str:
-    lines = [",".join(SCAN_COLUMNS)]
-    for point in points:
-        row = _scan_row(point)
-        cells = []
-        for column in SCAN_COLUMNS:
-            value = row[column]
-            if isinstance(value, bool):
-                cells.append(_format_bool(value))
-            elif isinstance(value, float):
-                cells.append(_format_float(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines)
+    rows = [",".join(_csv_cell(value) for value in _scan_row(p).values()) for p in points]
+    return "\n".join([",".join(SCAN_COLUMNS)] + rows)
 
 
 def _cmd_tensor(args: argparse.Namespace) -> int:
@@ -110,18 +80,14 @@ def _cmd_tmax(args: argparse.Namespace) -> int:
         "certified": result.certified,
     }
     _emit(json.dumps(payload, indent=2), args.out)
-    if args.require_certified and not result.certified:
-        return EXIT_NOT_CERTIFIED
-    return EXIT_OK
+    return _exit_code(args, result.certified)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     tensor = _load_tensor(args.infile)
     report = ri_criterion(tensor, _optimizer_config(args))
-    _emit(json.dumps(_report_dict(report), indent=2), args.out)
-    if args.require_certified and not report.certified:
-        return EXIT_NOT_CERTIFIED
-    return EXIT_OK
+    _emit(json.dumps(asdict(report), indent=2), args.out)
+    return _exit_code(args, report.certified)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -130,9 +96,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         _emit(json.dumps([_scan_row(p) for p in points], indent=2), args.out)
     else:
         _emit(_scan_csv(points), args.out)
-    if args.require_certified and not all(p.report.certified for p in points):
-        return EXIT_NOT_CERTIFIED
-    return EXIT_OK
+    return _exit_code(args, all(p.report.certified for p in points))
 
 
 def _cmd_verify_bound(args: argparse.Namespace) -> int:
@@ -144,21 +108,8 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
         include_optimal=not args.skip_optimal,
         config=_optimizer_config(args),
     )
-    payload = {
-        "n_parties": report.n_parties,
-        "trials": report.trials,
-        "bound": report.bound,
-        "max_found": report.max_found,
-        "ratio_to_bound": report.ratio_to_bound,
-        "violations": report.violations,
-        "includes_optimal": report.includes_optimal,
-        "certified": report.certified,
-        "seed": report.seed,
-    }
-    _emit(json.dumps(payload, indent=2), args.out)
-    if args.require_certified and not report.certified:
-        return EXIT_NOT_CERTIFIED
-    return EXIT_OK
+    _emit(json.dumps(asdict(report), indent=2), args.out)
+    return _exit_code(args, report.certified)
 
 
 def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:

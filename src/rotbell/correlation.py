@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidSizeError, ShapeError
-from .states import MAX_STATE_PARTIES, DensityMatrix, _check_party_count, planar_expectations
+from .errors import DomainError, ShapeError
+from .states import MAX_STATE_PARTIES, MixedState, _check_party_count, planar_expectations
 
 _ENTRY_BOUND = 1.0 + 1e-9
 
@@ -36,8 +36,7 @@ class CorrelationTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.n_parties < 1:
-            raise InvalidSizeError(f"n_parties must be >= 1, got {self.n_parties}")
+        _check_party_count(self.n_parties)
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (2,) * self.n_parties:
             raise ShapeError(
@@ -88,7 +87,10 @@ class CorrelationTensor:
     def from_json_dict(cls, data: dict) -> "CorrelationTensor":
         try:
             n = data["n"]
-            entries = {key: float(value) for key, value in data.get("entries", {}).items()}
+            entries = data.get("entries", {})
+            if any(isinstance(value, (str, bool)) for value in entries.values()):
+                raise TypeError("entry values must be JSON numbers")  # float() parses "0.5", true
+            entries = {key: float(value) for key, value in entries.items()}
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed tensor document: {exc}") from None
         if not isinstance(n, int) or isinstance(n, bool):
@@ -136,8 +138,12 @@ def product_contraction(values: np.ndarray, vectors: Sequence[np.ndarray]) -> fl
     return float(out)
 
 
-def tensor_from_state(rho: DensityMatrix) -> CorrelationTensor:
-    """Measure all 2^N planar full-correlation values of a state."""
+def tensor_from_state(rho: MixedState) -> CorrelationTensor:
+    """Measure all 2^N planar full-correlation values of a state.
+
+    A white-noise mixture kept as (psi, V) is gathered from its amplitudes,
+    without a dense matrix, up to MAX_STATE_PARTIES parties.
+    """
     return CorrelationTensor(rho.n_parties, planar_expectations(rho))
 
 
@@ -151,11 +157,8 @@ def ghz_planar_tensor(n_parties: int, visibility: float) -> CorrelationTensor:
     _check_party_count(n_parties, MAX_STATE_PARTIES)
     if not 0.0 <= visibility <= 1.0:
         raise DomainError(f"visibility must lie in [0, 1], got {visibility}")
-    flat = np.zeros(2**n_parties)
-    for key in range(2**n_parties):
-        k = key.bit_count()
-        if k % 2 == 0:
-            flat[key] = visibility * (-1.0) ** (k // 2)
+    k = ((np.arange(2**n_parties)[:, None] >> np.arange(n_parties)) & 1).sum(axis=1)
+    flat = visibility * np.array([1.0, 0.0, -1.0, 0.0])[k % 4]
     return CorrelationTensor.from_flat(n_parties, flat)
 
 

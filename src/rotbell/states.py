@@ -11,20 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, InvalidSizeError, ShapeError
 
-# Memory caps (overridable per call): a state vector has 2^N amplitudes,
-# a dense density matrix 4^N entries.
+# Memory caps: a state vector, and a white-noise mixture kept as one, has
+# 2^N amplitudes (overridable per call); a dense density matrix 4^N entries.
 MAX_STATE_PARTIES = 14
 MAX_DENSE_PARTIES = 10
 
-_NORM_TOL = 1e-12
-_HERMITIAN_TOL = 1e-12
-_TRACE_TOL = 1e-12
+_TOL = 1e-12  # on the norm, Hermiticity and trace
 _EIGENVALUE_FLOOR = -1e-10
 
 
@@ -66,7 +65,7 @@ def _as_axis(axis: AxisLike) -> PauliAxis:
         raise DomainError(f"unknown Pauli axis {axis!r}; expected one of x, y, z") from None
 
 
-def _check_party_count(n_parties: int, cap: int) -> None:
+def _check_party_count(n_parties: int, cap: float = math.inf) -> None:
     if n_parties < 1:
         raise InvalidSizeError(f"n_parties must be >= 1, got {n_parties}")
     if n_parties > cap:
@@ -87,8 +86,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_parties < 1:
-            raise InvalidSizeError(f"n_parties must be >= 1, got {self.n_parties}")
+        _check_party_count(self.n_parties)
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (2**self.n_parties,):
             raise ShapeError(
@@ -96,7 +94,7 @@ class StateVector:
                 f"got shape {amp.shape}"
             )
         norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
+        if not abs(norm_sq - 1.0) <= _TOL:  # NaN fails too
             raise DomainError(f"squared-amplitude sum {norm_sq} differs from 1")
         amp = amp.copy()
         amp.setflags(write=False)
@@ -109,25 +107,26 @@ class DensityMatrix:
 
     Rows and columns use the :class:`StateVector` basis order.  Full
     Pauli-product expectations read only the 2^N entries rho[b, b xor f]
-    selected by the product's flip mask f (see :func:`pauli_expectation`).
+    selected by the product's flip mask f (see :meth:`gather`).  White-noise
+    mixtures of pure states need no dense matrix: :func:`mix_with_white_noise`
+    keeps them as (psi, V) in a :class:`NoisyPureState`.
     """
 
     n_parties: int
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.n_parties < 1:
-            raise InvalidSizeError(f"n_parties must be >= 1, got {self.n_parties}")
+        _check_party_count(self.n_parties)
         dim = 2**self.n_parties
         mat = np.asarray(self.entries, dtype=complex)
         if mat.shape != (dim, dim):
             raise ShapeError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise DomainError("density matrix entries must be finite")
-        if np.max(np.abs(mat - mat.conj().T)) > _HERMITIAN_TOL:
+        if np.max(np.abs(mat - mat.conj().T)) > _TOL:
             raise DomainError("density matrix is not Hermitian")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > _TRACE_TOL:
+        if abs(tr - 1.0) > _TOL:
             raise DomainError(f"trace {tr} differs from 1")
         lowest = float(np.linalg.eigvalsh(mat)[0])
         if lowest < _EIGENVALUE_FLOOR:
@@ -135,6 +134,55 @@ class DensityMatrix:
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
+
+    def gather(self, mask: int) -> np.ndarray:
+        """The 2^N entries rho[b, b xor mask], b = 0 .. 2^N - 1."""
+        ket = np.arange(2**self.n_parties)
+        return self.entries[ket, ket ^ mask]
+
+
+@dataclass(frozen=True, eq=False)
+class NoisyPureState:
+    """White-noise mixture V|psi><psi| + (1-V) 1/2^N, kept as (psi, V).
+
+    A convex mix of a validated pure state with 1/2^N is positive
+    semidefinite, so no eigenvalue check is needed.  :meth:`gather` needs
+    no dense matrix; ``entries`` is built on first read, up to
+    MAX_DENSE_PARTIES parties.
+    """
+
+    state: StateVector
+    visibility: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.visibility <= 1.0:
+            raise DomainError(f"visibility must lie in [0, 1], got {self.visibility}")
+
+    @property
+    def n_parties(self) -> int:
+        return self.state.n_parties
+
+    def gather(self, mask: int) -> np.ndarray:
+        """rho[b, b xor mask] for every b: the dense matrix's arithmetic, without the matrix."""
+        amp, v = self.state.amplitudes, self.visibility
+        out = v * (amp * amp[np.arange(amp.size) ^ mask].conj())
+        if mask == 0:
+            out += (1.0 - v) / amp.size
+        return out
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Dense read-only matrix; InvalidSizeError above MAX_DENSE_PARTIES parties."""
+        _check_party_count(self.n_parties, MAX_DENSE_PARTIES)
+        amp, v = self.state.amplitudes, self.visibility
+        mat = v * np.outer(amp, amp.conj())
+        mat += (1.0 - v) / amp.size * np.eye(amp.size)
+        mat.setflags(write=False)
+        return mat
+
+
+#: Any state the gather-and-phase kernel measures.
+MixedState = Union[DensityMatrix, NoisyPureState]
 
 
 def build_ghz(n_parties: int, max_parties: int = MAX_STATE_PARTIES) -> StateVector:
@@ -148,32 +196,26 @@ def build_ghz(n_parties: int, max_parties: int = MAX_STATE_PARTIES) -> StateVect
 def mix_with_white_noise(
     state: StateVector,
     visibility: float,
-    max_parties: int = MAX_DENSE_PARTIES,
-) -> DensityMatrix:
-    """Mixture V|psi><psi| + (1-V) 1/2^N of a pure state with white noise."""
-    if not 0.0 <= visibility <= 1.0:
-        raise DomainError(f"visibility must lie in [0, 1], got {visibility}")
+    max_parties: int = MAX_STATE_PARTIES,
+) -> NoisyPureState:
+    """Mixture V|psi><psi| + (1-V) 1/2^N of a pure state with white noise, kept as (psi, V)."""
     _check_party_count(state.n_parties, max_parties)
-    dim = 2**state.n_parties
-    mat = visibility * np.outer(state.amplitudes, state.amplitudes.conj())
-    mat += (1.0 - visibility) / dim * np.eye(dim)
-    return DensityMatrix(state.n_parties, mat)
+    return NoisyPureState(state, visibility)
 
 
-def _gather_and_phase(rho: DensityMatrix, mask: int, tables: Sequence) -> np.ndarray:
+def _gather_and_phase(rho: MixedState, mask: int, tables: Sequence) -> np.ndarray:
     """Real part of sum_b rho[b, b xor mask] prod_j tables[j][..., b_j], in O(N 2^N).
 
     Table j is a phase row (2,) or a stack of rows (k, 2); each contraction
     consumes party j's axis and appends the stack axis, if any, at the end.
     """
-    ket = np.arange(2**rho.n_parties)
-    out = rho.entries[ket, ket ^ mask].reshape((2,) * rho.n_parties)
+    out = rho.gather(mask).reshape((2,) * rho.n_parties)
     for table in tables:
         out = np.tensordot(out, table, axes=([0], [-1]))
     return out.real
 
 
-def pauli_expectation(rho: DensityMatrix, axes: Sequence[AxisLike]) -> float:
+def pauli_expectation(rho: MixedState, axes: Sequence[AxisLike]) -> float:
     """Expectation of the N-fold Pauli product sigma_a1 x ... x sigma_aN.
 
     Tr(rho P) = sum_b rho[b, b xor f] prod_j <b_j xor f_j|sigma_aj|b_j>,
@@ -191,7 +233,7 @@ def pauli_expectation(rho: DensityMatrix, axes: Sequence[AxisLike]) -> float:
     return float(_gather_and_phase(rho, mask, rows))
 
 
-def planar_expectations(rho: DensityMatrix) -> np.ndarray:
+def planar_expectations(rho: MixedState) -> np.ndarray:
     """All 2^N expectations of x/y Pauli products, shape (2,)*N.
 
     Axis j-1 is party j, with 0 for x and 1 for y.  Every such product flips

@@ -107,6 +107,9 @@ class TestTmaxCommand:
             '{"n": 2, "entries": {"11": NaN}}',
             '{"n": 2, "entries": {"11": Infinity}}',
             '{"n": 2, "entries": {"11": "abc"}}',
+            '{"n": 2, "entries": {"11": "0.5"}}',
+            '{"n": 2, "entries": {"11": true}}',
+            '{"n": 2, "entries": {"11": " 1e-1 "}}',
             '{"n": 2, "entries": [1]}',
             '{"n": 1.9, "entries": {"1": 0.5}}',
             '{"n": "2", "entries": {}}',

@@ -117,6 +117,17 @@ class TestGhzPlanarTensor:
         assert np.count_nonzero(tensor.values) == 16  # 2^(N-1)
         assert np.all(np.abs(tensor.values[tensor.values != 0]) == 0.7)
 
+    @pytest.mark.parametrize("v", [0.0, 0.34, 1.0])
+    def test_matches_loop_reference(self, v):
+        # the per-key loop this closed form replaced, down to the sign of zero
+        for n in range(1, 15):
+            flat = np.zeros(2**n)
+            for key in range(2**n):
+                k = bin(key).count("1")
+                if k % 2 == 0:
+                    flat[key] = v * (-1.0) ** (k // 2)
+            assert ghz_planar_tensor(n, v).flat.tobytes() == flat.tobytes(), n
+
     def test_domain_errors(self):
         with pytest.raises(InvalidSizeError):
             ghz_planar_tensor(0, 0.5)
@@ -255,9 +266,12 @@ class TestTensorLayoutAndJson:
             tensor.entry((1, 1, 1))
 
     def test_json_rejects_non_numeric_entries(self):
-        for entries in ({"11": "abc"}, {"11": None}, {"11": [1.0]}, [1], "11"):
+        for entries in ({"11": "abc"}, {"11": None}, {"11": [1.0]}, [1], "11",
+                        {"11": "0.5"}, {"11": True}, {"11": " 1e-1 "}, {"11": False}):
             with pytest.raises(DomainError):
                 CorrelationTensor.from_json_dict({"n": 2, "entries": entries})
+        # JSON integers are numbers
+        assert CorrelationTensor.from_json_dict({"n": 2, "entries": {"11": 1}}).entry((1, 1)) == 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entries(self, bad):

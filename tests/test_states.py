@@ -1,5 +1,7 @@
 """Tests for state construction, noise mixing, and Pauli expectations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from functools import reduce
@@ -8,12 +10,15 @@ from rotbell import (
     DensityMatrix,
     DomainError,
     InvalidSizeError,
+    NoisyPureState,
     PauliAxis,
     ShapeError,
     StateVector,
     build_ghz,
+    ghz_planar_tensor,
     mix_with_white_noise,
     pauli_expectation,
+    tensor_from_state,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -109,16 +114,29 @@ class TestMixWithWhiteNoise:
             np.real(np.diag(rho.entries)), [0.375, 0.125, 0.125, 0.375], atol=1e-15
         )
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0])
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0, float("nan")])
     def test_rejects_visibility_outside_unit_interval(self, bad):
         with pytest.raises(DomainError):
             mix_with_white_noise(build_ghz(2), bad)
+        with pytest.raises(DomainError):
+            NoisyPureState(build_ghz(2), bad)
 
     def test_dense_matrix_cap(self):
-        # state vectors go to 14 parties, dense matrices only to 10
-        state = build_ghz(11)
+        # mixtures are kept as (psi, V) up to 14 parties; dense entries only to 10
+        rho = mix_with_white_noise(build_ghz(11), 0.5)
+        assert rho.n_parties == 11
         with pytest.raises(InvalidSizeError):
-            mix_with_white_noise(state, 0.5)
+            rho.entries
+        big = build_ghz(15, max_parties=15)
+        with pytest.raises(InvalidSizeError):
+            mix_with_white_noise(big, 0.5)
+        assert mix_with_white_noise(big, 0.5, max_parties=15).n_parties == 15
+
+    def test_entries_built_once_and_read_only(self):
+        rho = mix_with_white_noise(build_ghz(3), 0.5)
+        assert rho.entries is rho.entries
+        with pytest.raises(ValueError):
+            rho.entries[0, 0] = 0.0
 
     def test_invariants_for_random_visibility(self):
         rng = np.random.default_rng(11)
@@ -232,3 +250,55 @@ class TestPauliExpectation:
                 assert pauli_expectation(rho, axes) == pytest.approx(
                     trace_oracle(rho.entries, axes), abs=1e-12
                 )
+
+
+def haar_state(rng, n):
+    amp = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return StateVector(n, amp / np.linalg.norm(amp))
+
+
+class TestNoisyPureState:
+    """The (psi, V) gather against the dense matrix it stands for."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equal_to_dense_path(self, n):
+        rng = np.random.default_rng(100 + n)
+        for state in (build_ghz(n), haar_state(rng, n)):
+            noisy = mix_with_white_noise(state, float(rng.uniform(0.05, 0.95)))
+            dense = DensityMatrix(n, noisy.entries)
+            assert np.array_equal(tensor_from_state(noisy).values, tensor_from_state(dense).values)
+            strings = ["z" * n, "x" * n, "y" * n]
+            strings += ["".join(rng.choice(list("xyz"), size=n)) for _ in range(4)]
+            for axes in strings:
+                assert pauli_expectation(noisy, axes) == pauli_expectation(dense, axes), axes
+
+    @pytest.mark.parametrize("v", [0.0, 0.3, 1.0])
+    def test_ghz14_tensor_matches_closed_form(self, v):
+        measured = tensor_from_state(mix_with_white_noise(build_ghz(14), v))
+        np.testing.assert_allclose(
+            measured.values, ghz_planar_tensor(14, v).values, rtol=0, atol=1e-12
+        )
+
+    def test_all_z_on_ghz(self):
+        # +1 on |0...0>, (-1)^N on |1...1>; the white-noise part has zero trace
+        for n in range(1, 15):
+            rho = mix_with_white_noise(build_ghz(n), 0.6)
+            expected = 0.6 if n % 2 == 0 else 0.0
+            assert pauli_expectation(rho, "z" * n) == pytest.approx(expected, abs=1e-12), n
+
+    def test_gather_equals_entries_for_every_mask(self):
+        # the only test that sees a dropped identity term: no Pauli product can
+        rho = mix_with_white_noise(build_ghz(3), 0.25)
+        ket = np.arange(8)
+        for mask in range(8):
+            assert np.array_equal(rho.gather(mask), rho.entries[ket, ket ^ mask]), mask
+
+    def test_memory_is_linear_in_amplitudes(self):
+        # a dense 14-party matrix would be 4 GiB; 2^14 complex amplitudes are 256 KiB
+        tracemalloc.start()
+        try:
+            tensor_from_state(mix_with_white_noise(build_ghz(14), 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
