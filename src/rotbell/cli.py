@@ -1,7 +1,7 @@
 """Command-line interface: tensors, maximization, criterion checks, scans.
 
 Exit codes: 0 on success, 2 on invalid arguments or inputs, 3 when
---require-certified is set and the optimizer could not certify.
+--require-certified is set and the Fourier bound does not meet T_max.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--require-certified",
         action="store_true",
-        help="exit with code 3 unless the optimizer result is grid-certified",
+        help="exit with code 3 unless the Fourier bound proves the T_max found",
     )
 
 

@@ -180,26 +180,19 @@ def correlation_function(tensor: CorrelationTensor) -> Callable[..., np.ndarray]
     """Callable E(a_1, ..., a_N) that broadcasts over numpy angle arrays.
 
     Useful for evaluating the correlation function on quadrature grids;
-    scalar angles give a 0-d array.
+    scalar angles give a 0-d array.  Parties are contracted last first,
+    with the angle axes leading and the tensor axes left to contract trailing.
     """
-    terms = [
-        (idx, float(tensor.values[idx]))
-        for idx in np.ndindex(*tensor.values.shape)
-        if tensor.values[idx] != 0.0
-    ]
     n = tensor.n_parties
 
     def evaluate(*angles):
         if len(angles) != n:
             raise ShapeError(f"expected {n} angle arguments, got {len(angles)}")
-        cos_sin = [(np.cos(a), np.sin(a)) for a in angles]
-        total = np.zeros(np.broadcast_shapes(*(np.shape(a) for a in angles)))
-        for idx, coeff in terms:
-            term = coeff
-            for j, bit in enumerate(idx):
-                term = term * cos_sin[j][bit]
-            total = total + term
-        return total
+        out = tensor.values
+        for j in range(n - 1, -1, -1):
+            a = np.reshape(angles[j], np.shape(angles[j]) + (1,) * j)
+            out = out[..., 0] * np.cos(a) + out[..., 1] * np.sin(a)
+        return out
 
     return evaluate
 

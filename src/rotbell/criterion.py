@@ -18,8 +18,8 @@ import numpy as np
 
 from .correlation import CorrelationTensor, ghz_planar_tensor
 from .errors import DomainError
-from .lhv import two_setting_model_exists
-from .tensor_analysis import OptimizerConfig, analytic_inner_product, sum_of_squares, t_max
+from .lhv import _two_setting_holds
+from .tensor_analysis import OptimizerConfig, sum_of_squares, t_max
 
 REGION_LOCAL = "LOCAL"
 REGION_PARADOX = "PARADOX"
@@ -34,7 +34,7 @@ class CriterionReport:
     generalized Bell bound; ``violated`` means no local realistic model
     can reproduce the full correlation function.  ``two_setting_model``
     reports whether the measured values alone are modelable, and
-    ``certified`` carries the optimizer's certification flag.
+    ``certified`` carries the T_max certificate (see ``TMaxResult``).
     """
 
     n_parties: int
@@ -73,17 +73,19 @@ class ScanPoint:
 
 
 def _report(tensor: CorrelationTensor, top_value: float, certified: bool) -> CriterionReport:
-    """Both sides of the exclusion test, given the tensor's T_max."""
-    lhs = analytic_inner_product(tensor, tensor)
+    """Both sides of the exclusion test, given the tensor's T_max; one
+    sum of squares gives lhs = pi^N * sum(T^2) and two-setting modelability."""
+    sum_sq = sum_of_squares(tensor)
+    lhs = np.pi**tensor.n_parties * sum_sq
     rhs = 4.0**tensor.n_parties * top_value
     return CriterionReport(
         n_parties=tensor.n_parties,
         lhs=lhs,
         rhs=rhs,
         violated=lhs > rhs,
-        two_setting_model=two_setting_model_exists(tensor),
+        two_setting_model=_two_setting_holds(sum_sq),
         margin=lhs - rhs,
-        sum_sq=sum_of_squares(tensor),
+        sum_sq=sum_sq,
         certified=certified,
     )
 

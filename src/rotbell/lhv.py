@@ -170,14 +170,14 @@ def optimal_strategy(
     return strategy, lr_inner_product(strategy, tensor)
 
 
-def two_setting_model_exists(tensor: CorrelationTensor) -> bool:
-    """Sufficient condition for a local model of the 2^N measured values.
+def _two_setting_holds(sum_sq: float) -> bool:
+    return sum_sq <= 1.0 + 1e-12  # roundoff guard: the boundary classifies non-strictly
 
-    Holds iff the squared entries sum to at most 1; the comparison
-    carries a 1e-12 roundoff guard so the boundary case classifies
-    non-strictly.
-    """
-    return sum_of_squares(tensor) <= 1.0 + 1e-12
+
+def two_setting_model_exists(tensor: CorrelationTensor) -> bool:
+    """Sufficient condition for a local model of the 2^N measured values:
+    the squared entries sum to at most 1."""
+    return _two_setting_holds(sum_of_squares(tensor))
 
 
 class _TrialDraw(NamedTuple):
@@ -277,7 +277,7 @@ def verify_bound(
     A trial exceeding 4^N * t_max by more than ``BOUND_TOLERANCE`` counts
     as a violation (reported, not raised).  With ``include_optimal`` the
     saturating strategy joins the comparison so ``max_found`` approaches
-    the bound.  The optimizer's certification flag is carried through.
+    the bound.  The T_max certificate is carried through.
 
     Trials are drawn as arrays (strategy counts, flip counts, padded
     sorted breakpoints, leading signs, Dirichlet weights) and scored by
@@ -287,6 +287,8 @@ def verify_bound(
     """
     if trial_count < 1:
         raise DomainError(f"trial_count must be >= 1, got {trial_count}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     n = tensor.n_parties
     top = t_max(tensor, config)
     bound = 4.0**n * top.value

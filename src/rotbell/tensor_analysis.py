@@ -7,8 +7,8 @@ all parties but one fixed, the partial contraction is a 2-vector whose
 normalization is the exact per-party optimum, so each step is
 closed-form and the objective never decreases.  Deterministic
 multistart (seeded random starts plus axis-aligned ones) guards against
-local maxima; for small party counts an exhaustive angle grid with local
-refinement certifies the result.
+local maxima.  A closed-form Fourier bound caps the maximum from above;
+where it meets the value found, the value is proven to be the maximum.
 
 All S starts ascend together as one (S, N, 2) batch, which costs
 O(N * 2^N) per start per sweep and O(S * 2^N) memory.  Each start stops
@@ -23,30 +23,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationTensor, product_contraction
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .functional_space import _TWO_PI
 
-#: Grid values ``_grid_argmax`` holds at once when it has to stream.
-_GRID_SLAB_ENTRIES = 2**18
+#: ``certified`` holds when the Fourier bound exceeds the value by at most this fraction of it.
+CERTIFY_RTOL = 1e-12
+
+#: Rows u+ = (1, -i)/2 and u- = (1, i)/2: (cos a, sin a) = e^{ia} u+ + e^{-ia} u-.
+_FOURIER_ROWS = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / 2
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Settings for the alternating maximizer.
 
-    ``random_starts`` seeded random starting points are used on top of
-    2N axis-aligned starts and one start at the largest-magnitude basis
-    entry (which guarantees the result is at least that entry).  Grids
-    of ``grid_points`` angles per axis certify results for up to
-    ``certify_max_parties`` parties.
+    ``random_starts`` random starting points, drawn from one generator
+    seeded with ``seed`` (both nonnegative), are used on top of 2N
+    axis-aligned starts and one start at the largest-magnitude basis
+    entry (which guarantees the result is at least that entry).
     """
 
     random_starts: int = 64
     seed: int = 0
     max_sweeps: int = 1000
     improvement_tol: float = 1e-13
-    certify_max_parties: int = 4
-    grid_points: int = 48
+
+    def __post_init__(self):
+        if self.random_starts < 0 or self.seed < 0:
+            raise DomainError(f"random_starts and seed must be >= 0: {self}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,12 +58,13 @@ class TMaxResult:
     """Outcome of the planar-settings maximization.
 
     ``maximizer`` holds one unit 2-vector per party; ``value`` equals the
-    contraction of the tensor with their product.  ``certified`` is set
-    only when the exhaustive-grid check ran (small party counts) and the
-    chosen branch converged; otherwise the value is best-found.
+    contraction of the tensor with their product, a lower bound on T_max,
+    and ``upper`` an upper bound.  ``certified`` holds when ``upper - value
+    <= CERTIFY_RTOL * upper``: then ``value`` is proven to be T_max.
     """
 
     value: float
+    upper: float
     maximizer: np.ndarray
     iterations: int
     starts_used: int
@@ -67,8 +72,7 @@ class TMaxResult:
     certified: bool
 
     def __post_init__(self):
-        arr = np.asarray(self.maximizer, dtype=float)
-        arr = arr.copy()
+        arr = np.array(self.maximizer, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "maximizer", arr)
 
@@ -145,46 +149,20 @@ def _start_points(values: np.ndarray, config: OptimizerConfig) -> np.ndarray:
     on_j = np.eye(n, dtype=bool)[:, :, None]
     axis = np.stack([np.where(on_j, e2, e1), np.where(on_j, e1, e2)], axis=1)
 
-    angles = np.array(
-        [
-            np.random.default_rng([config.seed, i]).uniform(0.0, _TWO_PI, n)
-            for i in range(config.random_starts)
-        ]
-    ).reshape(-1, n)
+    angles = np.random.default_rng(config.seed).uniform(0, _TWO_PI, (config.random_starts, n))
     seeded = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-
-    starts = [corner[None], axis.reshape(2 * n, n, 2), seeded]
-    if n <= config.certify_max_parties:
-        starts.append(_grid_argmax(values, config.grid_points)[None])
-    return np.concatenate(starts)
+    return np.concatenate([corner[None], axis.reshape(2 * n, n, 2), seeded])
 
 
-def _grid_argmax(values: np.ndarray, grid_points: int) -> np.ndarray:
-    """Directions of the best point on the per-axis uniform angle grid.
-
-    The grid is streamed in slabs along party 1's angle, each holding at
-    most max(_GRID_SLAB_ENTRIES, 2 * grid_points^(N-1)) values; for N <= 3
-    one slab covers it.  A later slab wins only if strictly greater, so
-    the first maximum in C order is kept, as one argmax would keep it.
-    Slabs are at least two angles wide: a one-angle first contraction
-    takes another matrix-product path and rounds differently.
+def _fourier_bound(values: np.ndarray) -> float:
+    """Sum of |c_s| >= T_max, where contracting the tensor with u_{s_j} for each
+    party j gives the coefficients of E(a) = sum_s c_s e^{i sum_j s_j a_j}
+    over sign vectors s.  Exact for noisy GHZ (two terms of V/2) and for N <= 2.
     """
-    n = values.ndim
-    nodes = _TWO_PI * np.arange(grid_points) / grid_points
-    basis = np.stack([np.cos(nodes), np.sin(nodes)])  # (2, grid_points)
-    width = max(2, _GRID_SLAB_ENTRIES // grid_points ** (n - 1))
-    top, best = -math.inf, None
-    for lo in range(0, grid_points, width):
-        out = np.tensordot(values, basis[:, lo : lo + width], axes=([0], [0]))
-        for _ in range(n - 1):
-            out = np.tensordot(out, basis, axes=([0], [0]))
-        flat = int(np.argmax(out))
-        if out.flat[flat] > top:
-            top = out.flat[flat]
-            best = np.unravel_index(flat, out.shape)
-            best = (best[0] + lo, *best[1:])
-    angles = nodes[list(best)]
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    coeffs = values
+    for _ in range(values.ndim):
+        coeffs = np.tensordot(coeffs, _FOURIER_ROWS, axes=([0], [1]))
+    return float(np.abs(coeffs).sum())
 
 
 def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> TMaxResult:
@@ -192,33 +170,33 @@ def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> T
 
     All starts ascend together as one batch, each stopping at its own
     convergence; ``iterations`` sums their sweeps and ``starts_used``
-    counts them.  Deterministic for a fixed config: per-start seeds
-    derive from the master seed and a tie goes to the first start in
-    order (corner, axis-aligned, random, grid), so the result does not
-    depend on evaluation order.  Memory is O(S * 2^N) for S starts.
+    counts them.  Deterministic for a fixed config: a tie goes to the
+    first start in order (corner, axis-aligned, random).  ``upper`` is the
+    Fourier bound, raised to ``value`` where rounding puts it below.
+    Memory is O(S * 2^N) for S starts.
     """
     cfg = config or OptimizerConfig()
     values = np.asarray(tensor.values)
     starts = _start_points(values, cfg)
-    ds, found, sweeps, converged = _ascend(
-        values, starts, cfg.max_sweeps, cfg.improvement_tol
-    )
+    ds, found, sweeps, converged = _ascend(values, starts, cfg.max_sweeps, cfg.improvement_tol)
     best = int(np.argmax(found))
     maximizer = ds[best] / np.linalg.norm(ds[best], axis=1)[:, None]
-    best_converged = bool(converged[best])
+    value = product_contraction(values, maximizer)
+    upper = max(_fourier_bound(values), value)
     return TMaxResult(
-        value=product_contraction(values, maximizer),
+        value=value,
+        upper=upper,
         maximizer=maximizer,
         iterations=int(sweeps.sum()),
         starts_used=len(starts),
-        converged=best_converged,
-        certified=best_converged and tensor.n_parties <= cfg.certify_max_parties,
+        converged=bool(converged[best]),
+        certified=upper - value <= CERTIFY_RTOL * upper,
     )
 
 
 def sum_of_squares(tensor: CorrelationTensor) -> float:
     """Sum of the squares of all 2^N planar entries (exactly rounded)."""
-    return math.fsum(float(v) * float(v) for v in tensor.flat)
+    return math.fsum(np.square(tensor.flat).tolist())
 
 
 def analytic_inner_product(tensor_a: CorrelationTensor, tensor_b: CorrelationTensor) -> float:
@@ -229,8 +207,6 @@ def analytic_inner_product(tensor_a: CorrelationTensor, tensor_b: CorrelationTen
     pi^N times the entrywise dot product of the tensors.
     """
     if tensor_a.n_parties != tensor_b.n_parties:
-        raise ShapeError(
-            f"party counts differ: {tensor_a.n_parties} vs {tensor_b.n_parties}"
-        )
-    dot = math.fsum(float(x) * float(y) for x, y in zip(tensor_a.flat, tensor_b.flat))
+        raise ShapeError(f"party counts differ: {tensor_a.n_parties} vs {tensor_b.n_parties}")
+    dot = math.fsum((tensor_a.flat * tensor_b.flat).tolist())
     return math.pi**tensor_a.n_parties * dot

@@ -80,13 +80,12 @@ def test_criterion_1_ghz_tensor_structure():
 
 
 def test_criterion_2_tmax_equals_visibility():
-    with criterion(2, "T_max = V for noisy GHZ, grid-certified at N <= 4", 30.0):
+    with criterion(2, "T_max = V for noisy GHZ, certified by the Fourier bound", 30.0):
         for n in range(1, 9):
             for v in (0.3, 0.7, 1.0):
                 result = t_max(ghz_planar_tensor(n, v))
                 assert result.value == pytest.approx(v, abs=1e-9)
-                if n <= 4:
-                    assert result.certified
+                assert result.certified
 
 
 def test_criterion_3_sum_of_squares_closed_form():

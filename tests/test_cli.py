@@ -82,12 +82,22 @@ class TestTmaxCommand:
         assert doc["certified"] is True
         assert len(doc["maximizer"]) == 4
 
-    def test_require_certified_exits_3_beyond_grid(self, tmp_path, capsys):
+    def test_require_certified_exits_3_on_open_gap(self, tmp_path, capsys):
+        # T_max = 1/2, but the Fourier bound is 1/sqrt(2)
         path = tmp_path / "t.json"
-        run_cli(capsys, "tensor", "--ghz", "5", "--visibility", "0.5", "--out", str(path))
+        path.write_text('{"n": 3, "entries": {"111": 0.5, "222": 0.5}}')
         code, out, _ = run_cli(capsys, "tmax", "--in", str(path), "--require-certified")
         assert code == 3
-        assert json.loads(out)["certified"] is False
+        doc = json.loads(out)
+        assert doc["value"] == pytest.approx(0.5, abs=1e-12)
+        assert doc["certified"] is False
+
+    def test_require_certified_exits_0_on_ghz_beyond_four_parties(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        run_cli(capsys, "tensor", "--ghz", "6", "--visibility", "0.5", "--out", str(path))
+        code, out, _ = run_cli(capsys, "tmax", "--in", str(path), "--require-certified")
+        assert code == 0
+        assert json.loads(out)["certified"] is True
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "tmax", "--in", "/nonexistent/t.json")
@@ -288,6 +298,26 @@ class TestArgumentErrors:
     )
     def test_party_count_above_cap_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [("--seed", "-1"), ("--starts", "-5")])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tmax", "--in", "T"),
+            ("check", "--in", "T"),
+            ("verify-bound", "--in", "T", "--trials", "10"),
+            ("scan", "--ghz", "4", "--v-min", "0.3", "--v-max", "0.4", "--steps", "3"),
+        ],
+    )
+    def test_negative_seed_or_starts_exits_2(self, tmp_path, capsys, argv, flags):
+        path = tmp_path / "t.json"
+        run_cli(capsys, "tensor", "--ghz", "2", "--visibility", "0.5", "--out", str(path))
+        argv = [str(path) if arg == "T" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv, *flags)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")

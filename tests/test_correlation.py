@@ -215,6 +215,26 @@ class TestCorrelationFunctionCallable:
         np.testing.assert_allclose(out, 0.5 * np.cos(a1 + a2), atol=1e-12)
 
 
+    def test_broadcasts_mixed_shapes_against_pointwise_values(self):
+        rng = np.random.default_rng(10)
+        tensor = random_tensor(rng, 4)
+        angles = [rng.uniform(0, 2 * np.pi, shape) for shape in [(3, 1, 1), (4, 1), (), (5,)]]
+        out = correlation_function(tensor)(*angles)
+        assert out.shape == (3, 4, 5)
+        for i, j, k in np.ndindex(out.shape):
+            point = [angles[0][i, 0, 0], angles[1][j, 0], angles[2], angles[3][k]]
+            assert out[i, j, k] == pytest.approx(
+                correlation_value(tensor, AngleSettings(point)), abs=1e-12
+            )
+
+    def test_scalar_angles_give_0d_and_wrong_count_raises(self):
+        fn = correlation_function(ghz_planar_tensor(3, 0.5))
+        assert np.shape(fn(0.1, 0.2, 0.3)) == ()
+        assert float(fn(0.1, 0.2, 0.3)) == pytest.approx(0.5 * math.cos(0.6), abs=1e-15)
+        with pytest.raises(ShapeError):
+            fn(0.1, 0.2)
+
+
 class TestTensorLayoutAndJson:
     def test_flat_is_little_endian(self):
         vals = np.zeros((2, 2, 2))

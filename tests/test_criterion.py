@@ -11,11 +11,13 @@ from rotbell import (
     REGION_LOCAL,
     REGION_NONLOCAL,
     REGION_PARADOX,
+    analytic_inner_product,
     classify,
     ghz_planar_tensor,
     ghz_scan,
     ghz_thresholds,
     ri_criterion,
+    two_setting_model_exists,
 )
 
 
@@ -42,6 +44,18 @@ class TestRiCriterion:
         assert report.rhs == 0.0
         assert not report.violated
         assert report.two_setting_model
+
+    def test_one_sum_of_squares_gives_both_sides(self):
+        # lhs is the analytic self inner product and the two-setting flag is
+        # the library's condition, bit for bit, including at the boundary
+        rng = np.random.default_rng(61)
+        tensors = [ghz_planar_tensor(n, 2.0 ** (-(n - 1) / 2)) for n in range(1, 9)]
+        tensors += [CorrelationTensor(n, rng.uniform(-1, 1, (2,) * n) / 2**n) for n in range(1, 9)]
+        for tensor in tensors:
+            report = ri_criterion(tensor)
+            assert report.lhs == analytic_inner_product(tensor, tensor)
+            assert report.lhs == math.pi**tensor.n_parties * report.sum_sq
+            assert report.two_setting_model == two_setting_model_exists(tensor)
 
     def test_onset_matches_closed_form_threshold(self):
         # violation iff pi^N V^2 2^(N-1) > 4^N V, i.e. V > 2 (2/pi)^N

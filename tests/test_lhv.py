@@ -200,12 +200,18 @@ class TestVerifyBound:
         assert with_opt.includes_optimal and not without.includes_optimal
 
     def test_carries_certification_flag(self):
+        # T_max = 1/2 but the Fourier bound is 1/sqrt(2): not certified
+        open_gap = CorrelationTensor.from_json_dict({"n": 3, "entries": {"111": 0.5, "222": 0.5}})
         assert verify_bound(ghz_planar_tensor(2, 0.5), 10, seed=5).certified
-        assert not verify_bound(ghz_planar_tensor(5, 0.5), 10, seed=5).certified
+        assert not verify_bound(open_gap, 10, seed=5).certified
 
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(DomainError):
             verify_bound(ghz_planar_tensor(2, 0.5), 0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DomainError):
+            verify_bound(ghz_planar_tensor(2, 0.5), 10, seed=-1)
 
     def test_deterministic_in_seed(self):
         tensor = ghz_planar_tensor(3, 0.8)

@@ -1,7 +1,6 @@
 """Tests for the planar maximizer and tensor inner products."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ import pytest
 from rotbell import (
     CorrelationTensor,
     DensityMatrix,
+    DomainError,
     OptimizerConfig,
     ShapeError,
     analytic_inner_product,
@@ -21,7 +21,7 @@ from rotbell import (
     tensor_from_state,
 )
 from rotbell.correlation import product_contraction
-from rotbell.tensor_analysis import _ascend, _grid_argmax, _start_points
+from rotbell.tensor_analysis import CERTIFY_RTOL, _ascend, _fourier_bound, _start_points
 
 
 def diagonal_n2_tensor():
@@ -44,16 +44,15 @@ def single_entry_tensor(rng, n):
     return CorrelationTensor(n, values)
 
 
-def dense_grid_argmax(values, grid_points):
-    """The whole grid_points^N angle grid in one array, first maximum in C
-    order: the oracle for the slab-streamed grid."""
-    nodes = 2 * math.pi * np.arange(grid_points) / grid_points
-    basis = np.stack([np.cos(nodes), np.sin(nodes)])
-    out = values
-    for _ in range(values.ndim):
-        out = np.tensordot(out, basis, axes=([0], [0]))
-    angles = nodes[list(np.unravel_index(int(np.argmax(out)), out.shape))]
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+def fft_fourier_bound(values):
+    """Sum of |c_s| read off an FFT of E on a 4^N angle grid: the oracle for
+    the closed-form bound (E has per-axis frequencies -1 and +1 only)."""
+    n = values.ndim
+    nodes = 2 * math.pi * np.arange(4) / 4
+    fn = correlation_function(CorrelationTensor(n, values))
+    grid = fn(*np.meshgrid(*([nodes] * n), indexing="ij"))
+    coeffs = np.fft.fftn(grid) / 4**n
+    return float(np.abs(coeffs[np.ix_(*([[1, 3]] * n))]).sum())
 
 
 def reference_ascent(values, start, max_sweeps, tol):
@@ -143,15 +142,39 @@ class TestTMax:
         np.testing.assert_array_equal(first.maximizer, second.maximizer)
 
     def test_certification_flag_scope(self):
-        assert t_max(ghz_planar_tensor(4, 0.5)).certified
-        assert not t_max(ghz_planar_tensor(5, 0.5)).certified
-        cfg = OptimizerConfig(certify_max_parties=5)
-        assert t_max(ghz_planar_tensor(5, 0.5), cfg).certified
+        # the Fourier bound is exact for noisy GHZ at every N
+        for n in range(1, 15):
+            for v in (0.0, 0.34, 1.0):
+                result = t_max(ghz_planar_tensor(n, v))
+                assert result.certified
+                assert abs(result.upper - v) <= 1e-12
 
     def test_sweep_cap_exhaustion_drops_certification(self):
-        result = t_max(ghz_planar_tensor(3, 0.8), OptimizerConfig(max_sweeps=0))
-        assert not result.converged
-        assert not result.certified
+        # a rotated GHZ3: no corner or axis start is already optimal
+        tensor = rotate_frames(ghz_planar_tensor(3, 0.8), (0.3, 0.5, 0.7))
+        capped = t_max(tensor, OptimizerConfig(max_sweeps=0))
+        assert capped.value == pytest.approx(0.79992, abs=1e-5)
+        assert not capped.converged
+        assert not capped.certified
+        result = t_max(tensor)
+        assert result.converged and result.certified
+
+    def test_open_gap_is_not_certified(self):
+        # E = cos(a1) cos(a2) cos(a3) / 2 + sin(a1) sin(a2) sin(a3) / 2 peaks
+        # at 1/2, while sum |c_s| = 1/sqrt(2)
+        values = np.zeros((2, 2, 2))
+        values[0, 0, 0] = values[1, 1, 1] = 0.5
+        result = t_max(CorrelationTensor(3, values))
+        assert result.value == pytest.approx(0.5, abs=1e-12)
+        assert result.upper == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert result.converged and not result.certified
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"seed": -1}, {"random_starts": -5}, {"seed": -3, "random_starts": -1}]
+    )
+    def test_config_rejects_negative_seed_and_starts(self, kwargs):
+        with pytest.raises(DomainError):
+            OptimizerConfig(**kwargs)
 
 
 class TestBatchedAscent:
@@ -182,7 +205,8 @@ class TestBatchedAscent:
         assert result.value == pytest.approx(runs[best][1], abs=1e-12)
         assert result.starts_used == len(runs)
         assert result.converged == runs[best][3]
-        assert result.certified == (runs[best][3] and n <= cfg.certify_max_parties)
+        assert result.upper == max(_fourier_bound(tensor.values), result.value)
+        assert result.certified == (result.upper - result.value <= CERTIFY_RTOL * result.upper)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_zero_tensor_keeps_first_start(self, n):
@@ -192,35 +216,37 @@ class TestBatchedAscent:
         assert result.iterations == result.starts_used
 
 
-class TestGridArgmax:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_dense_grid(self, n):
-        rng = np.random.default_rng([21, n])
-        tensors = [ghz_planar_tensor(n, v) for v in (0.1, 0.34, 0.5, 1.0)]
-        tensors += [family(rng, n) for family in (random_tensor, haar_tensor) for _ in range(8)]
+class TestFourierBound:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("family", [random_tensor, haar_tensor])
+    def test_brackets_t_max(self, family, n):
+        rng = np.random.default_rng([31, n, len(family.__name__)])
+        for _ in range(5):
+            tensor = family(rng, n)
+            value = t_max(tensor).value
+            bound = _fourier_bound(tensor.values)
+            assert value - 1e-12 <= bound <= math.sqrt(sum_of_squares(tensor)) * (1 + 1e-12)
+            if n <= 2:
+                assert bound == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_fft_oracle(self, n):
+        rng = np.random.default_rng([32, n])
+        tensors = [ghz_planar_tensor(n, 0.34), single_entry_tensor(rng, n)]
+        tensors += [family(rng, n) for family in (random_tensor, haar_tensor) for _ in range(3)]
         for tensor in tensors:
-            values = np.asarray(tensor.values)
-            np.testing.assert_array_equal(
-                _grid_argmax(values, 48), dense_grid_argmax(values, 48)
+            assert _fourier_bound(tensor.values) == pytest.approx(
+                fft_fourier_bound(tensor.values), abs=1e-12
             )
 
-    def test_slabs_bound_memory(self):
-        # the dense 24^5 grid alone is 64 MB; two-angle slabs hold 5.3 MB
-        values = np.asarray(ghz_planar_tensor(5, 0.5).values)
-        tracemalloc.start()
-        found = _grid_argmax(values, 24)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak < 16 * 2**20
-        np.testing.assert_array_equal(found, dense_grid_argmax(values, 24))
-
-    def test_narrow_slabs_match_dense_grid(self):
-        # at N=5 on 24 angles a slab is held to the two-angle minimum
-        rng = np.random.default_rng(22)
-        for _ in range(10):
-            values = np.asarray(random_tensor(rng, 5).values)
-            np.testing.assert_array_equal(
-                _grid_argmax(values, 24), dense_grid_argmax(values, 24)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_invariant_under_frame_rotations(self, n):
+        # a frame rotation multiplies each c_s by a phase
+        rng = np.random.default_rng([33, n])
+        for tensor in (random_tensor(rng, n, scale=2.0 ** (-n / 2)), haar_tensor(rng, n)):
+            rotated = rotate_frames(tensor, rng.uniform(0, 2 * np.pi, n))
+            assert _fourier_bound(rotated.values) == pytest.approx(
+                _fourier_bound(tensor.values), abs=1e-12
             )
 
 
@@ -232,6 +258,15 @@ class TestSumOfSquares:
 
     def test_zero_tensor(self):
         assert sum_of_squares(CorrelationTensor(2, np.zeros((2, 2)))) == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_same_bits_as_scalar_products(self, n):
+        rng = np.random.default_rng([47, n])
+        for _ in range(5):
+            a, b = random_tensor(rng, n), random_tensor(rng, n)
+            assert sum_of_squares(a) == math.fsum(float(v) * float(v) for v in a.flat)
+            dot = math.fsum(float(x) * float(y) for x, y in zip(a.flat, b.flat))
+            assert analytic_inner_product(a, b) == math.pi**n * dot
 
     def test_n2_diagonal(self):
         assert sum_of_squares(diagonal_n2_tensor()) == 2.0
