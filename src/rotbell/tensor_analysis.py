@@ -10,9 +10,9 @@ multistart (seeded random starts plus axis-aligned ones) guards against
 local maxima.  A closed-form Fourier bound caps the maximum from above;
 where it meets the value found, the value is proven to be the maximum.
 
-All S starts ascend together as one (S, N, 2) batch, which costs
-O(N * 2^N) per start per sweep and O(S * 2^N) memory.  Each start stops
-at its own convergence, and among equal values the first start wins.
+All S starts ascend together as one (S, N, 2) batch, contracting party by
+party in O(2^N) per start per sweep.  Each stops at its own convergence, all
+stop once one meets the Fourier bound, and among equal values the first wins.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ _FOURIER_ROWS = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / 2
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the alternating maximizer.
+    """Settings for the alternating maximizer, all finite and nonnegative.
 
-    ``random_starts`` random starting points, drawn from one generator
-    seeded with ``seed`` (both nonnegative), are used on top of 2N
-    axis-aligned starts and one start at the largest-magnitude basis
-    entry (which guarantees the result is at least that entry).
+    ``random_starts`` random starts from one generator seeded with ``seed``
+    join 2N axis-aligned starts and one at the largest-magnitude basis entry
+    (so the result is at least that entry).  Each runs at most ``max_sweeps``
+    sweeps and converges once a sweep gains less than ``improvement_tol``.
     """
 
     random_starts: int = 64
@@ -49,8 +49,9 @@ class OptimizerConfig:
     improvement_tol: float = 1e-13
 
     def __post_init__(self):
-        if self.random_starts < 0 or self.seed < 0:
-            raise DomainError(f"random_starts and seed must be >= 0: {self}")
+        tol = self.improvement_tol
+        if min(self.random_starts, self.seed, self.max_sweeps) < 0 or not 0.0 <= tol < math.inf:
+            raise DomainError(f"settings must be >= 0 and improvement_tol finite: {self}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +61,9 @@ class TMaxResult:
     ``maximizer`` holds one unit 2-vector per party; ``value`` equals the
     contraction of the tensor with their product, a lower bound on T_max,
     and ``upper`` an upper bound.  ``certified`` holds when ``upper - value
-    <= CERTIFY_RTOL * upper``: then ``value`` is proven to be T_max.
+    <= CERTIFY_RTOL * upper``: then ``value`` is proven to be T_max and
+    ``converged`` holds, else that flag means the winning start converged.
+    ``iterations`` sums the sweeps run: none if a start met the bound at once.
     """
 
     value: float
@@ -82,49 +85,48 @@ def _kron_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (left[:, :, None] * right[:, None, :]).reshape(len(left), -1)
 
 
-def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, tol: float):
+def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, tol: float, target: float):
     """Alternating per-party maximization from every start at once.
 
     ``starts`` is an (S, N, 2) array of directions.  Party j's gradient is
-    the Kronecker row of the updated directions of parties < j, times the
-    tensor reshaped (2^j, 2 * 2^(N-1-j)), contracted with the Kronecker row
-    of the old directions of parties > j.  A row leaves the batch at its
-    own convergence, so its sweep count is what a lone ascent would take.
-    Returns the directions, values, sweep counts and convergence flags.
+    the running contraction P_j (P_0 = T, P_{j+1} = d_j . P_j over its first
+    axis) times the Kronecker row of the old directions of parties > j.  A
+    row leaves the batch at its own convergence, as a lone ascent would; the
+    batch stops, checked before every sweep, once a value reaches ``target``.
+    Returns the directions, values, sweeps run and convergence flags.
     """
     n = values.ndim
     ds = starts.copy()
     count = len(ds)
-    full = np.ones((count, 1))
+    partial = whole = np.broadcast_to(values.reshape(-1), (count, values.size))
     for j in range(n):
-        full = _kron_rows(full, ds[:, j])
-    value = full @ values.reshape(-1)
-    sweeps = np.full(count, max_sweeps)
+        partial = np.einsum("sa,sar->sr", ds[:, j], partial.reshape(count, 2, -1))
+    value = partial[:, 0]
+    sweeps = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
-    blocks = [values.reshape(2**j, -1) for j in range(n)]
     active = np.arange(count)
-    for sweep in range(1, max_sweeps + 1):
-        if active.size == 0:
+    for _ in range(max_sweeps):
+        if active.size == 0 or value.max() >= target:
             break
         sub = ds[active]
         rows = len(sub)
         suffixes = [np.ones((rows, 1))]
         for j in range(n - 1, 0, -1):
             suffixes.append(_kron_rows(sub[:, j], suffixes[-1]))
-        prefix = np.ones((rows, 1))
+        partial = whole[:rows]
         for j in range(n):
-            half = (prefix @ blocks[j]).reshape(rows, 2, -1)
+            half = partial.reshape(rows, 2, -1)
             grad = np.einsum("sar,sr->sa", half, suffixes[n - 1 - j])
             norm = np.hypot(grad[:, 0], grad[:, 1])
             # zero gradient: any direction is optimal, keep the previous one
             moved = norm > 0.0
             sub[moved, j] = grad[moved] / norm[moved, None]
             if j < n - 1:
-                prefix = _kron_rows(prefix, sub[:, j])
+                partial = np.einsum("sa,sar->sr", sub[:, j], half)
         ds[active] = sub
+        sweeps[active] += 1
         done = norm - value[active] < tol
         value[active] = norm
-        sweeps[active[done]] = sweep
         converged[active[done]] = True
         active = active[~done]
     return ds, value, sweeps, converged
@@ -133,8 +135,7 @@ def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, tol: float)
 def _start_points(values: np.ndarray, config: OptimizerConfig) -> np.ndarray:
     """All starting directions as one (S, N, 2) array, in tie-break order."""
     n = values.ndim
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
+    e1, e2 = np.eye(2)
 
     # Corner of the largest-magnitude entry, sign-corrected so its initial
     # objective is |T_i*|; monotone ascent then keeps value >= max |T_i|.
@@ -169,28 +170,32 @@ def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> T
     """Largest correlation-function value over all planar product settings.
 
     All starts ascend together as one batch, each stopping at its own
-    convergence; ``iterations`` sums their sweeps and ``starts_used``
-    counts them.  Deterministic for a fixed config: a tie goes to the
-    first start in order (corner, axis-aligned, random).  ``upper`` is the
-    Fourier bound, raised to ``value`` where rounding puts it below.
-    Memory is O(S * 2^N) for S starts.
+    convergence and all once one is within CERTIFY_RTOL / 2 of the Fourier
+    bound ``upper`` (raised to ``value`` where rounding puts it below);
+    ``iterations`` sums the sweeps run and ``starts_used`` counts the starts.
+    Deterministic for a fixed config: a tie goes to the first start in
+    order (corner, axis-aligned, random).  Memory is O(S * 2^N) for S starts.
     """
     cfg = config or OptimizerConfig()
     values = np.asarray(tensor.values)
+    bound = _fourier_bound(values)
     starts = _start_points(values, cfg)
-    ds, found, sweeps, converged = _ascend(values, starts, cfg.max_sweeps, cfg.improvement_tol)
+    ds, found, sweeps, converged = _ascend(
+        values, starts, cfg.max_sweeps, cfg.improvement_tol, bound * (1 - CERTIFY_RTOL / 2)
+    )
     best = int(np.argmax(found))
     maximizer = ds[best] / np.linalg.norm(ds[best], axis=1)[:, None]
     value = product_contraction(values, maximizer)
-    upper = max(_fourier_bound(values), value)
+    upper = max(bound, value)
+    certified = upper - value <= CERTIFY_RTOL * upper
     return TMaxResult(
         value=value,
         upper=upper,
         maximizer=maximizer,
         iterations=int(sweeps.sum()),
         starts_used=len(starts),
-        converged=bool(converged[best]),
-        certified=upper - value <= CERTIFY_RTOL * upper,
+        converged=bool(converged[best]) or certified,
+        certified=certified,
     )
 
 

@@ -170,7 +170,16 @@ class TestTMax:
         assert result.converged and not result.certified
 
     @pytest.mark.parametrize(
-        "kwargs", [{"seed": -1}, {"random_starts": -5}, {"seed": -3, "random_starts": -1}]
+        "kwargs",
+        [
+            {"seed": -1},
+            {"random_starts": -5},
+            {"seed": -3, "random_starts": -1},
+            {"max_sweeps": -5},
+            {"improvement_tol": math.nan},
+            {"improvement_tol": -1.0},
+            {"improvement_tol": math.inf},
+        ],
     )
     def test_config_rejects_negative_seed_and_starts(self, kwargs):
         with pytest.raises(DomainError):
@@ -194,7 +203,7 @@ class TestBatchedAscent:
         # slowly converging row stops within a few improvement_tol of its
         # maximum, so rows agree to 1e-10, not to rounding
         _, values, sweeps, converged = _ascend(
-            tensor.values, starts, cfg.max_sweeps, cfg.improvement_tol
+            tensor.values, starts, cfg.max_sweeps, cfg.improvement_tol, math.inf
         )
         np.testing.assert_allclose(values, [r[1] for r in runs], rtol=0, atol=1e-10)
         assert np.max(np.abs(sweeps - [r[2] for r in runs])) <= 1
@@ -204,7 +213,7 @@ class TestBatchedAscent:
         result = t_max(tensor, cfg)
         assert result.value == pytest.approx(runs[best][1], abs=1e-12)
         assert result.starts_used == len(runs)
-        assert result.converged == runs[best][3]
+        assert result.converged == (runs[best][3] or result.certified)
         assert result.upper == max(_fourier_bound(tensor.values), result.value)
         assert result.certified == (result.upper - result.value <= CERTIFY_RTOL * result.upper)
 
@@ -213,7 +222,84 @@ class TestBatchedAscent:
         # every start ties at 0, so the first one (the all-x corner) wins
         result = t_max(CorrelationTensor(n, np.zeros((2,) * n)))
         np.testing.assert_array_equal(result.maximizer, np.tile([1.0, 0.0], (n, 1)))
-        assert result.iterations == result.starts_used
+        # 0 = 0 is certified before any sweep
+        assert result.iterations == 0
+
+
+def full_ascent(tensor, cfg):
+    """The best start of the ascent run with no certificate stop, as t_max
+    picks and reports it: (value, maximizer, total sweeps)."""
+    starts = _start_points(tensor.values, cfg)
+    ds, values, sweeps, _ = _ascend(
+        tensor.values, starts, cfg.max_sweeps, cfg.improvement_tol, math.inf
+    )
+    best = int(np.argmax(values))
+    maximizer = ds[best] / np.linalg.norm(ds[best], axis=1)[:, None]
+    return product_contraction(tensor.values, maximizer), maximizer, int(sweeps.sum())
+
+
+class TestCertificateStop:
+    @pytest.mark.parametrize("v", [0.34, 1.0])
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_ghz_corner_stops_before_any_sweep(self, n, v):
+        result = t_max(ghz_planar_tensor(n, v))
+        assert result.iterations == 0
+        assert result.value == v
+        np.testing.assert_array_equal(result.maximizer, np.tile([1.0, 0.0], (n, 1)))
+        assert result.certified and result.converged
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_single_entry_corner_stops_before_any_sweep(self, n):
+        index = np.arange(n) % 2
+        values = np.zeros((2,) * n)
+        values[tuple(index)] = -0.6
+        corner = np.where(index[:, None] == 1, [0.0, 1.0], [1.0, 0.0])
+        corner[0] = -corner[0]
+        result = t_max(CorrelationTensor(n, values))
+        assert result.iterations == 0
+        assert result.value == 0.6
+        np.testing.assert_array_equal(result.maximizer, corner)
+        assert result.certified and result.converged
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stop_is_within_rtol_of_full_ascent(self, n):
+        # the bound is exact at N <= 2, so most such tensors stop early
+        rng = np.random.default_rng([53, n])
+        cfg = OptimizerConfig()
+        for _ in range(20):
+            tensor = random_tensor(rng, n)
+            result = t_max(tensor, cfg)
+            value, _, sweeps = full_ascent(tensor, cfg)
+            assert abs(result.value - value) <= CERTIFY_RTOL * result.upper
+            assert result.iterations < sweeps if result.certified else result.iterations == sweeps
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_rotated_ghz_stops_within_rtol_below_bound(self, n):
+        # no start sits on the maximum; from N = 6 the bound lands a few ulps
+        # above the value the ascent reaches, so only the rtol margin stops it
+        tensor = rotate_frames(ghz_planar_tensor(n, 0.8), 0.3 * np.arange(1, n + 1))
+        result = t_max(tensor)
+        _, _, sweeps = full_ascent(tensor, OptimizerConfig())
+        assert result.certified and result.converged
+        assert result.value == pytest.approx(0.8, abs=1e-12)
+        assert 0 < result.iterations < sweeps
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_open_gap_runs_full_ascent(self, n):
+        rng = np.random.default_rng([59, n])
+        tensors = [haar_tensor(rng, n) for _ in range(3)]
+        if n == 3:
+            values = np.zeros((2, 2, 2))
+            values[0, 0, 0] = values[1, 1, 1] = 0.5
+            tensors.append(CorrelationTensor(3, values))
+        cfg = OptimizerConfig()
+        for tensor in tensors:
+            result = t_max(tensor, cfg)
+            value, maximizer, sweeps = full_ascent(tensor, cfg)
+            assert not result.certified
+            assert result.value == value
+            np.testing.assert_array_equal(result.maximizer, maximizer)
+            assert result.iterations == sweeps
 
 
 class TestFourierBound:
