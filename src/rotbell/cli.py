@@ -176,7 +176,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (RotbellError, OSError) as exc:
+    except (RotbellError, OSError, MemoryError) as exc:  # MemoryError: counts too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

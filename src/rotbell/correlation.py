@@ -17,7 +17,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .states import MAX_STATE_PARTIES, MixedState, _check_party_count, planar_expectations
+from .states import (
+    MAX_STATE_PARTIES,
+    MixedState,
+    _check_party_count,
+    contract,
+    planar_expectations,
+)
 
 _ENTRY_BOUND = 1.0 + 1e-9
 
@@ -130,12 +136,20 @@ class AngleSettings:
         return np.stack([np.cos(arr), np.sin(arr)], axis=1)
 
 
-def product_contraction(values: np.ndarray, vectors: Sequence[np.ndarray]) -> float:
-    """Contract a (2,)*N tensor with one 2-vector per party."""
-    out = values
-    for vec in reversed(list(vectors)):
-        out = out @ np.asarray(vec, dtype=float)
-    return float(out)
+def product_contraction(values: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """A (2,)*N tensor at a batch of direction sets: (..., N, 2) -> (...).
+
+    Each set holds one 2-vector per party.  Party 1 is contracted first, by
+    one matrix product over the whole batch; each later party halves the
+    (S, 2^(N-j)) partial contraction, so S sets cost O(S 2^N).
+    """
+    batch = np.shape(directions)[:-2]
+    ds = np.reshape(directions, (-1, values.ndim, 2))
+    rows = len(ds)
+    out = ds[:, 0] @ values.reshape(2, -1)
+    for j in range(1, values.ndim):
+        out = np.einsum("sar,sa->sr", out.reshape(rows, 2, -1), ds[:, j])
+    return out[:, 0].reshape(batch)
 
 
 def tensor_from_state(rho: MixedState) -> CorrelationTensor:
@@ -173,7 +187,7 @@ def correlation_value(tensor: CorrelationTensor, settings: AngleSettings) -> flo
         raise ShapeError(
             f"{settings.n_parties} angles for a {tensor.n_parties}-party tensor"
         )
-    return product_contraction(tensor.values, settings.direction_vectors())
+    return float(product_contraction(tensor.values, settings.direction_vectors()))
 
 
 def correlation_function(tensor: CorrelationTensor) -> Callable[..., np.ndarray]:
@@ -207,9 +221,5 @@ def rotate_frames(tensor: CorrelationTensor, deltas: Sequence[float]) -> Correla
         raise ShapeError(
             f"{len(deltas)} rotation angles for a {tensor.n_parties}-party tensor"
         )
-    out = np.asarray(tensor.values)
-    for party, delta in enumerate(deltas):
-        c, s = math.cos(delta), math.sin(delta)
-        rot = np.array([[c, -s], [s, c]])
-        out = np.moveaxis(np.tensordot(rot, out, axes=([0], [party])), 0, party)
-    return CorrelationTensor(tensor.n_parties, out)
+    rows = [[[math.cos(d), math.sin(d)], [-math.sin(d), math.cos(d)]] for d in deltas]
+    return CorrelationTensor(tensor.n_parties, contract(tensor.values, rows))

@@ -137,6 +137,8 @@ def ghz_scan(
         )
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
+    if steps > np.iinfo(np.intp).max // 8:  # past intp.max bytes numpy raises ValueError
+        raise DomainError(f"steps={steps} is more than numpy can address")
     top = t_max(ghz_planar_tensor(n_parties, 1.0), config)
     points = []
     for v in np.linspace(v_min, v_max, steps):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import CorrelationTensor
+from .correlation import CorrelationTensor, product_contraction
 from .errors import DomainError, ShapeError
 from .functional_space import (
     _TWO_PI,
@@ -111,20 +111,6 @@ class BoundVerification:
     seed: int
 
 
-def _strategy_values(values: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """Tensor contracted with each row's per-party overlaps: (S, N, 2) -> (S,).
-
-    Party 1 is contracted first, by one matrix product over all rows;
-    each later party halves the (S, 2^(N-j)) partial contraction, so one
-    pass costs O(S * 2^N).
-    """
-    rows = len(overlaps)
-    out = overlaps[:, 0] @ values.reshape(2, -1)
-    for j in range(1, values.ndim):
-        out = np.einsum("sar,sa->sr", out.reshape(rows, 2, -1), overlaps[:, j])
-    return out[:, 0]
-
-
 def lr_inner_product(strategy: DeterministicStrategy, tensor: CorrelationTensor) -> float:
     """Inner product of a deterministic model's correlation function with E_T.
 
@@ -138,7 +124,7 @@ def lr_inner_product(strategy: DeterministicStrategy, tensor: CorrelationTensor)
             f"{tensor.n_parties}-party tensor"
         )
     overlaps = np.array([[p.a, p.b] for p in map(project, strategy.responses)])
-    return float(_strategy_values(np.asarray(tensor.values), overlaps[None])[0])
+    return float(product_contraction(tensor.values, overlaps))
 
 
 def ensemble_inner_product(ensemble: LhvEnsemble, tensor: CorrelationTensor) -> float:
@@ -229,7 +215,7 @@ def _draw_trials(
 def _trial_values(draw: _TrialDraw, values: np.ndarray) -> np.ndarray:
     """Each trial's weighted inner product with the tensor ``values``."""
     overlaps = sign_overlaps(draw.points, draw.flips, draw.signs)
-    rows = draw.weights * _strategy_values(values, overlaps)
+    rows = draw.weights * product_contraction(values, overlaps)
     return np.bincount(draw.owner, rows)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, InvalidSizeError, ShapeError
 
 # Memory caps: a state vector, and a white-noise mixture kept as one, has
-# 2^N amplitudes (overridable per call); a dense density matrix 4^N entries.
+# 2^N amplitudes; a dense density matrix 4^N entries.
 MAX_STATE_PARTIES = 14
 MAX_DENSE_PARTIES = 10
 
@@ -181,38 +181,35 @@ class NoisyPureState:
         return mat
 
 
-#: Any state the gather-and-phase kernel measures.
+#: Any state whose Pauli expectations are gathered and contracted.
 MixedState = Union[DensityMatrix, NoisyPureState]
 
 
-def build_ghz(n_parties: int, max_parties: int = MAX_STATE_PARTIES) -> StateVector:
+def build_ghz(n_parties: int) -> StateVector:
     """Equal superposition of the all-|+> and all-|-> z-basis states."""
-    _check_party_count(n_parties, max_parties)
+    _check_party_count(n_parties, MAX_STATE_PARTIES)
     amp = np.zeros(2**n_parties, dtype=complex)
     amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
     return StateVector(n_parties, amp)
 
 
-def mix_with_white_noise(
-    state: StateVector,
-    visibility: float,
-    max_parties: int = MAX_STATE_PARTIES,
-) -> NoisyPureState:
+def mix_with_white_noise(state: StateVector, visibility: float) -> NoisyPureState:
     """Mixture V|psi><psi| + (1-V) 1/2^N of a pure state with white noise, kept as (psi, V)."""
-    _check_party_count(state.n_parties, max_parties)
+    _check_party_count(state.n_parties, MAX_STATE_PARTIES)
     return NoisyPureState(state, visibility)
 
 
-def _gather_and_phase(rho: MixedState, mask: int, tables: Sequence) -> np.ndarray:
-    """Real part of sum_b rho[b, b xor mask] prod_j tables[j][..., b_j], in O(N 2^N).
+def contract(values: np.ndarray, rows: Sequence) -> np.ndarray:
+    """Contract party j's axis of a (2,)*N array with ``rows[j]``, in O(N 2^N).
 
-    Table j is a phase row (2,) or a stack of rows (k, 2); each contraction
-    consumes party j's axis and appends the stack axis, if any, at the end.
+    Row j is a (2,) row or a (k, 2) stack of rows; each contraction consumes
+    the leading (party j) axis and appends the stack axis, if any, at the end,
+    so stacks leave their axes in party order.
     """
-    out = rho.gather(mask).reshape((2,) * rho.n_parties)
-    for table in tables:
-        out = np.tensordot(out, table, axes=([0], [-1]))
-    return out.real
+    out = values
+    for row in rows:
+        out = np.tensordot(out, row, axes=([0], [-1]))
+    return out
 
 
 def pauli_expectation(rho: MixedState, axes: Sequence[AxisLike]) -> float:
@@ -230,7 +227,7 @@ def pauli_expectation(rho: MixedState, axes: Sequence[AxisLike]) -> float:
     flips = [_FLIPS[a] for a in resolved]
     rows = [_PAULI[a][[f, 1 - f], [0, 1]] for a, f in zip(resolved, flips)]
     mask = int("".join(map(str, flips)), 2)
-    return float(_gather_and_phase(rho, mask, rows))
+    return float(contract(rho.gather(mask).reshape((2,) * rho.n_parties), rows).real)
 
 
 def planar_expectations(rho: MixedState) -> np.ndarray:
@@ -240,4 +237,5 @@ def planar_expectations(rho: MixedState) -> np.ndarray:
     all qubits, so this is the anti-diagonal rho[b, ~b] phased per party.
     """
     rows = np.stack([_PAULI[a][[1, 0], [0, 1]] for a in (PauliAxis.X, PauliAxis.Y)])
-    return _gather_and_phase(rho, 2**rho.n_parties - 1, [rows] * rho.n_parties)
+    n = rho.n_parties
+    return contract(rho.gather(2**n - 1).reshape((2,) * n), [rows] * n).real

@@ -25,6 +25,7 @@ import numpy as np
 from .correlation import CorrelationTensor, product_contraction
 from .errors import DomainError, ShapeError
 from .functional_space import _TWO_PI
+from .states import contract
 
 #: ``certified`` holds when the Fourier bound exceeds the value by at most this fraction of it.
 CERTIFY_RTOL = 1e-12
@@ -98,10 +99,8 @@ def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, tol: float,
     n = values.ndim
     ds = starts.copy()
     count = len(ds)
-    partial = whole = np.broadcast_to(values.reshape(-1), (count, values.size))
-    for j in range(n):
-        partial = np.einsum("sa,sar->sr", ds[:, j], partial.reshape(count, 2, -1))
-    value = partial[:, 0]
+    whole = np.broadcast_to(values.reshape(-1), (count, values.size))
+    value = product_contraction(values, ds)
     sweeps = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     active = np.arange(count)
@@ -150,6 +149,9 @@ def _start_points(values: np.ndarray, config: OptimizerConfig) -> np.ndarray:
     on_j = np.eye(n, dtype=bool)[:, :, None]
     axis = np.stack([np.where(on_j, e2, e1), np.where(on_j, e1, e2)], axis=1)
 
+    # an (S, N) float64 array over intp.max bytes raises ValueError, not MemoryError
+    if config.random_starts > np.iinfo(np.intp).max // (8 * n):
+        raise DomainError(f"random_starts={config.random_starts} is more than numpy can address")
     angles = np.random.default_rng(config.seed).uniform(0, _TWO_PI, (config.random_starts, n))
     seeded = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     return np.concatenate([corner[None], axis.reshape(2 * n, n, 2), seeded])
@@ -160,10 +162,7 @@ def _fourier_bound(values: np.ndarray) -> float:
     party j gives the coefficients of E(a) = sum_s c_s e^{i sum_j s_j a_j}
     over sign vectors s.  Exact for noisy GHZ (two terms of V/2) and for N <= 2.
     """
-    coeffs = values
-    for _ in range(values.ndim):
-        coeffs = np.tensordot(coeffs, _FOURIER_ROWS, axes=([0], [1]))
-    return float(np.abs(coeffs).sum())
+    return float(np.abs(contract(values, [_FOURIER_ROWS] * values.ndim)).sum())
 
 
 def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> TMaxResult:
@@ -185,7 +184,7 @@ def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> T
     )
     best = int(np.argmax(found))
     maximizer = ds[best] / np.linalg.norm(ds[best], axis=1)[:, None]
-    value = product_contraction(values, maximizer)
+    value = float(product_contraction(values, maximizer))
     upper = max(bound, value)
     certified = upper - value <= CERTIFY_RTOL * upper
     return TMaxResult(

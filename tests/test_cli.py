@@ -323,6 +323,42 @@ class TestArgumentErrors:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--starts", str(10**15)),  # numpy raises MemoryError: 28 PiB
+            ("--starts", str(5 * 10**18)),  # over intp.max bytes
+            ("--starts", str(10**19)),  # over intp.max elements
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tmax", "--in", "T"),
+            ("check", "--in", "T"),
+            ("verify-bound", "--in", "T", "--trials", "10"),
+            ("scan", "--ghz", "4", "--v-min", "0.3", "--v-max", "0.4", "--steps", "3"),
+        ],
+    )
+    def test_unallocatable_starts_exit_2(self, tmp_path, capsys, argv, flags):
+        path = tmp_path / "t.json"
+        run_cli(capsys, "tensor", "--ghz", "4", "--visibility", "0.5", "--out", str(path))
+        argv = [str(path) if arg == "T" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("steps", [10**15, 5 * 10**18, 10**19])
+    def test_unallocatable_steps_exit_2(self, capsys, steps):
+        argv = ("scan", "--ghz", "4", "--v-min", "0.3", "--v-max", "0.4", "--steps", str(steps))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
     def test_missing_required_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["tensor", "--ghz", "3"])

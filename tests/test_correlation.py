@@ -22,6 +22,7 @@ from rotbell import (
     rotate_frames,
     tensor_from_state,
 )
+from rotbell.correlation import product_contraction
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -193,6 +194,42 @@ class TestCorrelationValue:
                     rotate_frames(tensor, -deltas), AngleSettings(angles + deltas)
                 )
                 assert counter == pytest.approx(original, abs=1e-10)
+
+
+def chain_contraction(values, vectors):
+    """One direction set, contracted last party first by matrix-vector
+    products: the oracle for the batched kernel."""
+    out = values
+    for vec in reversed(list(vectors)):
+        out = out @ np.asarray(vec, dtype=float)
+    return float(out)
+
+
+class TestProductContraction:
+    @pytest.mark.parametrize("batch", [(), (1,), (7,), (3, 5)])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_against_chain(self, n, batch):
+        rng = np.random.default_rng(n)
+        values = rng.uniform(-1, 1, size=(2,) * n)
+        angles = rng.uniform(0, 2 * np.pi, size=batch + (n,))
+        directions = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        got = product_contraction(values, directions)
+        assert got.shape == batch
+        expected = [chain_contraction(values, d) for d in directions.reshape(-1, n, 2)]
+        # |entries| <= 1 and |cos| + |sin| <= sqrt 2 bound the absolute sum
+        # of the terms by 2^(n/2); either order rounds twice in each of n stages
+        atol = 4 * n * 2 ** (n / 2) * np.finfo(float).eps
+        np.testing.assert_allclose(got.reshape(-1), expected, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("batch", [(), (1,), (7,), (3, 5)])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_zero_tensor(self, n, batch):
+        values = np.zeros((2,) * n)
+        directions = np.ones(batch + (n, 2))
+        got = product_contraction(values, directions)
+        assert got.shape == batch
+        assert np.all(got == 0.0)
+        assert chain_contraction(values, directions.reshape(-1, n, 2)[0]) == 0.0
 
 
 class TestCorrelationFunctionCallable:

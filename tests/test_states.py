@@ -20,6 +20,7 @@ from rotbell import (
     pauli_expectation,
     tensor_from_state,
 )
+from rotbell.states import contract
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -31,6 +32,49 @@ def trace_oracle(rho_entries, axis_names):
     """Independent expectation: explicit kron product and matrix trace."""
     product = reduce(np.kron, [ORACLE_PAULI[a] for a in axis_names])
     return float(np.trace(rho_entries @ product).real)
+
+
+def einsum_contract(values, rows):
+    """``contract`` as one np.einsum call: a (k, 2) stack's axis follows the
+    surviving stack axes in party order; a (2,) row leaves none."""
+    n = values.ndim
+    operands, output = [values, list(range(n))], []
+    for j, row in enumerate(rows):
+        if np.ndim(row) == 1:
+            operands += [row, [j]]
+        else:
+            operands += [row, [n + j, j]]
+            output.append(n + j)
+    return np.einsum(*operands, output)
+
+
+#: Random contraction rows by form: a (2,) row, or a real or complex (2, 2) stack.
+ROW_FORMS = {
+    "rows": lambda rng: rng.normal(size=2),
+    "real stacks": lambda rng: rng.normal(size=(2, 2)),
+    "complex stacks": lambda rng: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+}
+
+
+class TestContract:
+    @pytest.mark.parametrize("kind", [*ROW_FORMS, "mixed"])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_against_one_einsum(self, n, complex_values, kind):
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=(2,) * n)
+        if complex_values:
+            values = values + 1j * rng.normal(size=(2,) * n)
+        forms = rng.choice(list(ROW_FORMS), size=n) if kind == "mixed" else [kind] * n
+        rows = [ROW_FORMS[form](rng) for form in forms]
+        got = contract(values, rows)
+        expected = einsum_contract(values, rows)
+        assert got.shape == expected.shape
+        # both sum the same 2^n products in different orders: bound the
+        # rounding by 2^n ulps of the absolute sum of the terms (4 per
+        # complex product)
+        scale = einsum_contract(np.abs(values), [np.abs(r) for r in rows])
+        assert np.all(np.abs(got - expected) <= 4 * 2**n * np.finfo(float).eps * scale)
 
 
 class TestPauliAxis:
@@ -72,8 +116,6 @@ class TestBuildGhz:
     def test_rejects_over_cap(self):
         with pytest.raises(InvalidSizeError):
             build_ghz(15)
-        # cap is configurable
-        assert build_ghz(15, max_parties=15).n_parties == 15
 
     def test_amplitudes_read_only(self):
         state = build_ghz(2)
@@ -127,10 +169,11 @@ class TestMixWithWhiteNoise:
         assert rho.n_parties == 11
         with pytest.raises(InvalidSizeError):
             rho.entries
-        big = build_ghz(15, max_parties=15)
+        amp = np.zeros(2**15)
+        amp[0] = 1.0
+        big = StateVector(15, amp)
         with pytest.raises(InvalidSizeError):
             mix_with_white_noise(big, 0.5)
-        assert mix_with_white_noise(big, 0.5, max_parties=15).n_parties == 15
 
     def test_entries_built_once_and_read_only(self):
         rho = mix_with_white_noise(build_ghz(3), 0.5)

@@ -60,7 +60,7 @@ def reference_ascent(values, start, max_sweeps, tol):
     the oracle for the batched kernel."""
     n = values.ndim
     ds = start.copy()
-    value = product_contraction(values, ds)
+    value = float(product_contraction(values, ds))
     for sweep in range(1, max_sweeps + 1):
         previous = value
         for j in range(n):
@@ -235,7 +235,7 @@ def full_ascent(tensor, cfg):
     )
     best = int(np.argmax(values))
     maximizer = ds[best] / np.linalg.norm(ds[best], axis=1)[:, None]
-    return product_contraction(tensor.values, maximizer), maximizer, int(sweeps.sum())
+    return float(product_contraction(tensor.values, maximizer)), maximizer, int(sweeps.sum())
 
 
 class TestCertificateStop:
