@@ -128,12 +128,20 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > _TOL:
             raise DomainError(f"trace {tr} differs from 1")
-        lowest = float(np.linalg.eigvalsh(mat)[0])
-        if lowest < _EIGENVALUE_FLOOR:
-            raise DomainError(f"negative eigenvalue {lowest}")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
+        # Cholesky of rho + s*1, s = -floor/2, succeeds only if every eigenvalue
+        # exceeds -s less its backward error (~2^N u tr rho), so above the
+        # floor; eigvalsh decides the rest.  The shift goes on the kept copy.
+        kept = mat.copy()
+        np.fill_diagonal(kept, mat.diagonal() - _EIGENVALUE_FLOOR / 2)
+        try:
+            np.linalg.cholesky(kept)
+        except np.linalg.LinAlgError:
+            lowest = float(np.linalg.eigvalsh(mat)[0])
+            if lowest < _EIGENVALUE_FLOOR:
+                raise DomainError(f"negative eigenvalue {lowest}") from None
+        np.fill_diagonal(kept, mat.diagonal())
+        kept.setflags(write=False)
+        object.__setattr__(self, "entries", kept)
 
     def gather(self, mask: int) -> np.ndarray:
         """The 2^N entries rho[b, b xor mask], b = 0 .. 2^N - 1."""

@@ -193,7 +193,80 @@ class TestMixWithWhiteNoise:
                 assert np.linalg.eigvalsh(mat)[0] >= -1e-10
 
 
+#: DensityMatrix accepts a state whose lowest eigenvalue is at least this.
+EIGENVALUE_FLOOR = -1e-10
+
+
+def planted_state(rng, n, lowest):
+    """Density-like matrix with eigenvalue ``lowest`` and the rest positive,
+    summing to 1, in a Haar-random unitary frame."""
+    dim = 2**n
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    eigenvalues = np.concatenate([[lowest], (1.0 - lowest) * rng.dirichlet(np.ones(dim - 1))])
+    mat = (q * eigenvalues) @ q.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+def rank_deficient_states(n):
+    """Dephased GHZ, the GHZ projector and a random pure-state projector."""
+    ghz = build_ghz(n).amplitudes
+    amp = np.array([1.0, 1.0j]) @ np.random.default_rng([71, n]).normal(size=(2, 2**n))
+    amp /= np.linalg.norm(amp)
+    return [np.diag(np.abs(ghz) ** 2), np.outer(ghz, ghz.conj()), np.outer(amp, amp.conj())]
+
+
 class TestDensityMatrixValidation:
+    """Positivity is certified by Cholesky of rho + 5e-11 * 1, with eigvalsh
+    deciding whatever that factorization rejects."""
+
+    @pytest.mark.parametrize("lowest", [-1e-9, -2e-10, -1.01e-10])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rejects_planted_eigenvalue_below_floor(self, n, lowest):
+        mat = planted_state(np.random.default_rng([73, n]), n, lowest)
+        assert np.linalg.eigvalsh(mat)[0] < EIGENVALUE_FLOOR
+        with pytest.raises(DomainError, match="negative eigenvalue"):
+            DensityMatrix(n, mat)
+
+    @pytest.mark.parametrize("lowest", [-0.99e-10, -5e-11, -1e-11, 0.0, 1e-12])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_accepts_planted_eigenvalue_at_or_above_floor(self, n, lowest):
+        mat = planted_state(np.random.default_rng([79, n]), n, lowest)
+        assert np.linalg.eigvalsh(mat)[0] >= EIGENVALUE_FLOOR
+        np.testing.assert_array_equal(DensityMatrix(n, mat).entries, mat)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_accepts_rank_deficient_states(self, n):
+        for mat in rank_deficient_states(n):
+            rho = DensityMatrix(n, mat)
+            # the diagonal shift is undone bit for bit, on a copy
+            np.testing.assert_array_equal(rho.entries, mat)
+            assert not np.shares_memory(rho.entries, mat)
+            assert not rho.entries.flags.writeable
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_positive_states_need_no_eigvalsh(self, n, monkeypatch):
+        # the Cholesky certificate alone accepts eigenvalues down to -1e-11
+        states = rank_deficient_states(n)
+        if n <= 6:
+            rng = np.random.default_rng([83, n])
+            states += [planted_state(rng, n, lowest) for lowest in (-1e-11, 0.0, 1e-12)]
+
+        def fail(_):
+            raise AssertionError("eigvalsh ran on a state the certificate accepts")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        for mat in states:
+            DensityMatrix(n, mat)
+
+    def test_real_input_is_kept_as_complex_copy(self):
+        mat = np.diag([0.25, 0.75])
+        rho = DensityMatrix(1, mat)
+        assert rho.entries.dtype == complex
+        np.testing.assert_array_equal(rho.entries, mat)
+        np.testing.assert_array_equal(mat, np.diag([0.25, 0.75]))
+
     def test_rejects_non_hermitian(self):
         mat = np.eye(2, dtype=complex)
         mat[0, 1] = 0.5

@@ -77,6 +77,45 @@ def reference_ascent(values, start, max_sweeps, tol):
     return ds, value, max_sweeps, False
 
 
+def reference_batched_ascent(values, starts, max_sweeps, tol, target):
+    """The batched ascent as it was before its rows stayed compact across
+    sweeps: gather the active rows and scatter them back every sweep.  The
+    arithmetic is the same, so results must agree bit for bit."""
+    n = values.ndim
+    ds = starts.copy()
+    count = len(ds)
+    whole = np.broadcast_to(values.reshape(-1), (count, values.size))
+    value = product_contraction(values, ds)
+    sweeps = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    active = np.arange(count)
+    for _ in range(max_sweeps):
+        if active.size == 0 or value.max() >= target:
+            break
+        sub = ds[active]
+        rows = len(sub)
+        suffixes = [np.ones((rows, 1))]
+        for j in range(n - 1, 0, -1):
+            left, right = sub[:, j], suffixes[-1]
+            suffixes.append((left[:, :, None] * right[:, None, :]).reshape(rows, -1))
+        partial = whole[:rows]
+        for j in range(n):
+            half = partial.reshape(rows, 2, -1)
+            grad = np.einsum("sar,sr->sa", half, suffixes[n - 1 - j])
+            norm = np.hypot(grad[:, 0], grad[:, 1])
+            moved = norm > 0.0
+            sub[moved, j] = grad[moved] / norm[moved, None]
+            if j < n - 1:
+                partial = np.einsum("sa,sar->sr", sub[:, j], half)
+        ds[active] = sub
+        sweeps[active] += 1
+        done = norm - value[active] < tol
+        value[active] = norm
+        converged[active[done]] = True
+        active = active[~done]
+    return ds, value, sweeps, converged
+
+
 class TestTMax:
     def test_zero_tensor(self):
         result = t_max(CorrelationTensor(3, np.zeros((2, 2, 2))))
@@ -226,6 +265,34 @@ class TestBatchedAscent:
         assert result.iterations == 0
 
 
+class TestAscentOracle:
+    @staticmethod
+    def first_to_leave(values, starts, tol):
+        """Value of the first row to converge in an unstopped ascent: it
+        reaches that value on the sweep it leaves the batch."""
+        _, found, sweeps, converged = reference_batched_ascent(values, starts, 1000, tol, math.inf)
+        return found[np.argmin(np.where(converged, sweeps, 1001))]
+
+    @pytest.mark.parametrize("max_sweeps", [0, 1, 1000])
+    @pytest.mark.parametrize("target", ["inf", "fourier", "first to leave"])
+    @pytest.mark.parametrize("random_starts", [0, 64])
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("family", [random_tensor, haar_tensor, single_entry_tensor])
+    def test_bit_identical_to_reference(self, family, n, random_starts, target, max_sweeps):
+        rng = np.random.default_rng([n, random_starts, len(family.__name__), 89])
+        values = family(rng, n).values
+        starts = _start_points(values, OptimizerConfig(random_starts=random_starts, seed=n))
+        tol = OptimizerConfig().improvement_tol
+        target = {
+            "inf": lambda: math.inf,
+            "fourier": lambda: _fourier_bound(values) * (1 - CERTIFY_RTOL / 2),
+            "first to leave": lambda: self.first_to_leave(values, starts, tol),
+        }[target]()
+        args = (values, starts, max_sweeps, tol, target)
+        for got, want in zip(_ascend(*args), reference_batched_ascent(*args)):
+            np.testing.assert_array_equal(got, want)
+
+
 def full_ascent(tensor, cfg):
     """The best start of the ascent run with no certificate stop, as t_max
     picks and reports it: (value, maximizer, total sweeps)."""
@@ -260,6 +327,31 @@ class TestCertificateStop:
         assert result.value == 0.6
         np.testing.assert_array_equal(result.maximizer, corner)
         assert result.certified and result.converged
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_corner_alone_equals_whole_batch(self, n):
+        # where the corner certifies, t_max evaluates no other start, and
+        # reports what the whole batch under the same stop would give
+        rng = np.random.default_rng([61, n])
+        tensors = [ghz_planar_tensor(n, 0.34), ghz_planar_tensor(n, 1.0)]
+        tensors += [single_entry_tensor(rng, n)] if n <= 8 else []
+        cfg = OptimizerConfig()
+        for tensor in tensors:
+            starts = _start_points(tensor.values, cfg)
+            target = _fourier_bound(tensor.values) * (1 - CERTIFY_RTOL / 2)
+            ds, values, sweeps, _ = _ascend(
+                tensor.values, starts, cfg.max_sweeps, cfg.improvement_tol, target
+            )
+            result = t_max(tensor, cfg)
+            assert int(np.argmax(values)) == 0 and result.value == values[0]
+            np.testing.assert_array_equal(result.maximizer, ds[0])
+            assert result.iterations == sweeps.sum() == 0
+            assert result.starts_used == len(starts) == 1 + 2 * n + cfg.random_starts
+
+    def test_corner_stop_still_checks_start_count(self):
+        too_many = OptimizerConfig(random_starts=np.iinfo(np.intp).max // 8)
+        with pytest.raises(DomainError, match="more than numpy can address"):
+            t_max(ghz_planar_tensor(4, 0.5), too_many)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_stop_is_within_rtol_of_full_ascent(self, n):
