@@ -4,7 +4,6 @@ generalized Bell bound, and the visibility window where two-setting
 local models exist but cannot be mutually consistent."""
 
 from .correlation import (
-    AngleSettings,
     CorrelationTensor,
     correlation_function,
     correlation_value,
@@ -27,7 +26,6 @@ from .criterion import (
 from .errors import BudgetError, DomainError, InvalidSizeError, RotbellError, ShapeError
 from .functional_space import (
     PROJECTION_NORM_BOUND,
-    FourierProjection,
     ResponseFunction,
     project,
     quadrature_inner_product,
@@ -67,7 +65,6 @@ from .tensor_analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleSettings",
     "BOUND_TOLERANCE",
     "BoundVerification",
     "BudgetError",
@@ -76,7 +73,6 @@ __all__ = [
     "DensityMatrix",
     "DeterministicStrategy",
     "DomainError",
-    "FourierProjection",
     "GhzThresholds",
     "InvalidSizeError",
     "LhvEnsemble",

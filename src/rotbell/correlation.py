@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -112,30 +112,6 @@ class CorrelationTensor:
         return cls(n, vals)
 
 
-@dataclass(frozen=True)
-class AngleSettings:
-    """One planar measurement angle per party, in radians.
-
-    Angles are stored exactly as given; they parameterize the unit
-    direction (cos a_j, sin a_j) in party j's x-y plane, so any two
-    settings congruent mod 2*pi describe the same measurement.
-    """
-
-    angles: tuple[float, ...]
-
-    def __init__(self, angles: Iterable[float]):
-        object.__setattr__(self, "angles", tuple(float(a) for a in angles))
-
-    @property
-    def n_parties(self) -> int:
-        return len(self.angles)
-
-    def direction_vectors(self) -> np.ndarray:
-        """(N, 2) array of the per-party unit vectors (cos a, sin a)."""
-        arr = np.asarray(self.angles)
-        return np.stack([np.cos(arr), np.sin(arr)], axis=1)
-
-
 def product_contraction(values: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """A (2,)*N tensor at a batch of direction sets: (..., N, 2) -> (...).
 
@@ -176,18 +152,17 @@ def ghz_planar_tensor(n_parties: int, visibility: float) -> CorrelationTensor:
     return CorrelationTensor.from_flat(n_parties, flat)
 
 
-def correlation_value(tensor: CorrelationTensor, settings: AngleSettings) -> float:
-    """Correlation function at the given planar angles.
+def correlation_value(tensor: CorrelationTensor, angles: Sequence[float]) -> float:
+    """Correlation function at one planar angle per party, in radians.
 
-    Multilinear in the per-party direction vectors: the sum over all
-    multi-indices of the tensor entry times the product of cos/sin
-    factors chosen by the index.
+    Multilinear in the per-party direction vectors (cos a_j, sin a_j): the
+    sum over all multi-indices of the tensor entry times the product of
+    cos/sin factors chosen by the index.
     """
-    if settings.n_parties != tensor.n_parties:
-        raise ShapeError(
-            f"{settings.n_parties} angles for a {tensor.n_parties}-party tensor"
-        )
-    return float(product_contraction(tensor.values, settings.direction_vectors()))
+    arr = np.asarray(angles, dtype=float)
+    if arr.shape != (tensor.n_parties,):
+        raise ShapeError(f"angles of shape {arr.shape} for a {tensor.n_parties}-party tensor")
+    return float(product_contraction(tensor.values, np.stack([np.cos(arr), np.sin(arr)], axis=1)))
 
 
 def correlation_function(tensor: CorrelationTensor) -> Callable[..., np.ndarray]:

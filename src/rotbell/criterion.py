@@ -19,6 +19,7 @@ import numpy as np
 from .correlation import CorrelationTensor, ghz_planar_tensor
 from .errors import DomainError
 from .lhv import _two_setting_holds
+from .states import _check_party_count
 from .tensor_analysis import OptimizerConfig, sum_of_squares, t_max
 
 REGION_LOCAL = "LOCAL"
@@ -100,8 +101,7 @@ def ri_criterion(
 
 def ghz_thresholds(n_parties: int) -> GhzThresholds:
     """Closed-form visibility thresholds for N-party noisy GHZ states."""
-    if n_parties < 1:
-        raise DomainError(f"n_parties must be >= 1, got {n_parties}")
+    _check_party_count(n_parties)
     v_ri = 2.0 * (2.0 / np.pi) ** n_parties
     v_two_setting = 2.0 ** (-(n_parties - 1) / 2.0)
     return GhzThresholds(n_parties, v_ri, v_two_setting, v_ri < v_two_setting)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,27 +60,6 @@ class ResponseFunction:
         out = self.leading_sign * np.where(crossings % 2 == 0, 1.0, -1.0)
         return out if out.ndim else float(out)
 
-    def negated(self) -> "ResponseFunction":
-        return ResponseFunction(self.breakpoints, -self.leading_sign)
-
-
-@dataclass(frozen=True)
-class FourierProjection:
-    """Overlaps of a response with cos and sin over one period.
-
-    ``a`` and ``b`` are the plain integrals against cos and sin; ``norm``
-    is the length of the projection onto the orthonormal pair
-    cos/sqrt(pi), sin/sqrt(pi), so (a, b) = sqrt(pi) * norm * (cos beta,
-    sin beta).  ``beta`` is reported in [0, 2*pi) and is meaningful only
-    when ``beta_defined`` (nonzero projection).
-    """
-
-    a: float
-    b: float
-    norm: float
-    beta: float
-    beta_defined: bool
-
 
 def sign_overlaps(breakpoints, flips, signs) -> np.ndarray:
     """Cos/sin overlaps of many sign functions at once, shape (..., 2).
@@ -106,21 +84,21 @@ def sign_overlaps(breakpoints, flips, signs) -> np.ndarray:
     return np.stack([scale * a, -scale * b], axis=-1).reshape(lead + (2,))
 
 
-def project(response: ResponseFunction) -> FourierProjection:
-    """Closed-form cos/sin overlaps of a sign function (see ``sign_overlaps``)."""
+def project(response: ResponseFunction) -> np.ndarray:
+    """Closed-form cos/sin overlaps (a, b) of a sign function, shape (2,).
+
+    ``hypot(a, b) / sqrt(pi)`` is the length of the projection onto the
+    orthonormal pair cos/sqrt(pi), sin/sqrt(pi); see ``sign_overlaps``.
+    """
     bps = response.breakpoints
-    a, b = (float(x) for x in sign_overlaps(bps, len(bps), response.leading_sign))
-    norm = math.hypot(a, b) / math.sqrt(math.pi)
-    if norm > 0.0:
-        beta = math.atan2(b, a) % _TWO_PI
-        return FourierProjection(a, b, norm, beta, True)
-    return FourierProjection(a, b, 0.0, 0.0, False)
+    return sign_overlaps(bps, len(bps), response.leading_sign)
 
 
 def saturating_response(psi: float) -> ResponseFunction:
     """The sign function aligned with direction ``psi``: sgn(cos(a - psi)).
 
-    Its projection norm attains the bound 4/sqrt(pi), with beta = psi.
+    Its overlaps are 4 * (cos psi, sin psi), so its projection norm attains
+    the bound 4/sqrt(pi).
     """
     b1 = float(psi + math.pi / 2.0) % _TWO_PI
     b2 = float(psi + 3.0 * math.pi / 2.0) % _TWO_PI
@@ -130,17 +108,9 @@ def saturating_response(psi: float) -> ResponseFunction:
     return ResponseFunction((lo, hi), -inside)
 
 
-FactoredCallable = Sequence[Callable[[np.ndarray], np.ndarray]]
-IntegrandLike = Union[Callable[..., np.ndarray], FactoredCallable]
-
-
-def _is_factored(f: IntegrandLike) -> bool:
-    return isinstance(f, (list, tuple))
-
-
 def quadrature_inner_product(
-    f: IntegrandLike,
-    g: IntegrandLike,
+    f: Callable[..., np.ndarray],
+    g: Callable[..., np.ndarray],
     n_parties: int,
     nodes_per_axis: int = 64,
     *,
@@ -150,42 +120,20 @@ def quadrature_inner_product(
 
     Uniform periodic nodes make the rule exact (up to roundoff) for
     trigonometric-polynomial integrands of per-axis degree below
-    ``nodes_per_axis`` / 2.  Each integrand is either a callable taking N
-    broadcastable angle arrays, or a sequence of N single-axis callables
-    declaring the per-party factorization f(a_1..a_N) = prod f_j(a_j).
-    When both integrands are factored the integral splits into per-axis
-    1-D quadratures; otherwise the full grid is used, guarded by
+    ``nodes_per_axis`` / 2.  Each integrand is a callable taking N
+    broadcastable angle arrays; the full grid is guarded by
     ``max_evaluations``.
     """
     if n_parties < 1:
         raise DomainError(f"n_parties must be >= 1, got {n_parties}")
     if nodes_per_axis < 8:
         raise DomainError(f"nodes_per_axis must be >= 8, got {nodes_per_axis}")
-    for name, fn in (("f", f), ("g", g)):
-        if _is_factored(fn) and len(fn) != n_parties:
-            raise DomainError(
-                f"factored integrand {name} has {len(fn)} factors for {n_parties} parties"
-            )
-
-    nodes = _TWO_PI * np.arange(nodes_per_axis) / nodes_per_axis
-    weight = _TWO_PI / nodes_per_axis
-
-    if _is_factored(f) and _is_factored(g):
-        result = 1.0
-        for fj, gj in zip(f, g):
-            result *= weight * float(np.sum(np.asarray(fj(nodes)) * np.asarray(gj(nodes))))
-        return result
-
     if nodes_per_axis**n_parties > max_evaluations:
         raise BudgetError(
             f"{nodes_per_axis}^{n_parties} grid nodes exceed the budget of "
-            f"{max_evaluations}; pass factored integrands or raise max_evaluations"
+            f"{max_evaluations}; raise max_evaluations"
         )
+    nodes = _TWO_PI * np.arange(nodes_per_axis) / nodes_per_axis
     grids = np.meshgrid(*([nodes] * n_parties), indexing="ij", sparse=True)
-
-    def on_grid(fn: IntegrandLike) -> np.ndarray:
-        if _is_factored(fn):
-            return reduce(np.multiply, (np.asarray(fj(gj)) for fj, gj in zip(fn, grids)))
-        return np.asarray(fn(*grids))
-
-    return weight**n_parties * float(np.sum(on_grid(f) * on_grid(g)))
+    weight = _TWO_PI / nodes_per_axis
+    return weight**n_parties * float(np.sum(np.asarray(f(*grids)) * np.asarray(g(*grids))))

@@ -123,7 +123,7 @@ def lr_inner_product(strategy: DeterministicStrategy, tensor: CorrelationTensor)
             f"{strategy.n_parties}-party strategy against "
             f"{tensor.n_parties}-party tensor"
         )
-    overlaps = np.array([[p.a, p.b] for p in map(project, strategy.responses)])
+    overlaps = np.array([project(r) for r in strategy.responses])
     return float(product_contraction(tensor.values, overlaps))
 
 

@@ -34,16 +34,6 @@ class PauliAxis(Enum):
     Y = "y"
     Z = "z"
 
-    @property
-    def index(self) -> int:
-        """Conventional 1-based axis index (x=1, y=2, z=3)."""
-        return {"x": 1, "y": 2, "z": 3}[self.value]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The 2x2 Pauli matrix for this axis (fresh copy)."""
-        return _PAULI[self].copy()
-
 
 _PAULI = {
     PauliAxis.X: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),

@@ -30,29 +30,30 @@ from .states import contract
 #: ``certified`` holds when the Fourier bound exceeds the value by at most this fraction of it.
 CERTIFY_RTOL = 1e-12
 
+#: A start converges once a sweep raises its value by less than this.
+_IMPROVEMENT_TOL = 1e-13
+
 #: Rows u+ = (1, -i)/2 and u- = (1, i)/2: (cos a, sin a) = e^{ia} u+ + e^{-ia} u-.
 _FOURIER_ROWS = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / 2
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the alternating maximizer, all finite and nonnegative.
+    """Settings for the alternating maximizer, all nonnegative.
 
     ``random_starts`` random starts from one generator seeded with ``seed``
     join 2N axis-aligned starts and one at the largest-magnitude basis entry
     (so the result is at least that entry).  Each runs at most ``max_sweeps``
-    sweeps and converges once a sweep gains less than ``improvement_tol``.
+    sweeps and converges once a sweep gains less than ``_IMPROVEMENT_TOL``.
     """
 
     random_starts: int = 64
     seed: int = 0
     max_sweeps: int = 1000
-    improvement_tol: float = 1e-13
 
     def __post_init__(self):
-        tol = self.improvement_tol
-        if min(self.random_starts, self.seed, self.max_sweeps) < 0 or not 0.0 <= tol < math.inf:
-            raise DomainError(f"settings must be >= 0 and improvement_tol finite: {self}")
+        if min(self.random_starts, self.seed, self.max_sweeps) < 0:
+            raise DomainError(f"settings must be >= 0: {self}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +85,7 @@ class TMaxResult:
         object.__setattr__(self, "maximizer", arr)
 
 
-def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, tol: float, target: float):
+def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, target: float):
     """Alternating per-party maximization from every start at once.
 
     ``starts`` is an (S, N, 2) array of directions.  Party j's gradient is
@@ -120,7 +121,7 @@ def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, tol: float,
             if j < n - 1:
                 partial = np.einsum("sa,sar->sr", sub[:, j], half)
         sweep += 1
-        done = norm - now < tol
+        done = norm - now < _IMPROVEMENT_TOL
         now = norm
         if done.any():
             gone = active[done]
@@ -182,7 +183,7 @@ def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> T
     target = bound * (1 - CERTIFY_RTOL / 2)
     # the corner start's value is |T_i*|: where that meets the bound, it alone ascends
     batch = starts[:1] if np.abs(values).max() >= target else starts
-    ds, found, sweeps, converged = _ascend(values, batch, cfg.max_sweeps, cfg.improvement_tol, target)
+    ds, found, sweeps, converged = _ascend(values, batch, cfg.max_sweeps, target)
     best = int(np.argmax(found))
     maximizer = ds[best] / np.linalg.norm(ds[best], axis=1)[:, None]
     value = float(product_contraction(values, maximizer))

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from rotbell import (
-    AngleSettings,
     CorrelationTensor,
     DensityMatrix,
     DomainError,
@@ -143,23 +142,24 @@ class TestCorrelationValue:
             tensor = ghz_planar_tensor(n, 0.6)
             for _ in range(5):
                 angles = rng.uniform(0, 2 * np.pi, n)
-                value = correlation_value(tensor, AngleSettings(angles))
+                value = correlation_value(tensor, angles)
                 assert value == pytest.approx(0.6 * math.cos(angles.sum()), abs=1e-12)
                 assert value == pytest.approx(brute_force_value(tensor, angles), abs=1e-12)
 
     def test_zero_angles_pick_first_entry(self):
         rng = np.random.default_rng(4)
         tensor = random_tensor(rng, 3)
-        value = correlation_value(tensor, AngleSettings([0.0, 0.0, 0.0]))
+        value = correlation_value(tensor, [0.0, 0.0, 0.0])
         assert value == pytest.approx(tensor.entry((1, 1, 1)), abs=1e-12)
 
     def test_zero_tensor(self):
         tensor = CorrelationTensor(2, np.zeros((2, 2)))
-        assert correlation_value(tensor, AngleSettings([0.3, 1.2])) == 0.0
+        assert correlation_value(tensor, [0.3, 1.2]) == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            correlation_value(ghz_planar_tensor(2, 1.0), AngleSettings([0.1]))
+        for angles in ([0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]], 0.1):
+            with pytest.raises(ShapeError, match="for a 2-party tensor"):
+                correlation_value(ghz_planar_tensor(2, 1.0), angles)
 
     def test_multilinear_per_party(self):
         # for fixed other angles the value is A cos(a_j) + B sin(a_j)
@@ -170,7 +170,7 @@ class TestCorrelationValue:
             def at(angle):
                 angles = base.copy()
                 angles[j] = angle
-                return correlation_value(tensor, AngleSettings(angles))
+                return correlation_value(tensor, angles)
 
             coef_cos, coef_sin = at(0.0), at(np.pi / 2)
             for a in rng.uniform(0, 2 * np.pi, 4):
@@ -189,9 +189,9 @@ class TestCorrelationValue:
             for _ in range(5):
                 angles = rng.uniform(0, 2 * np.pi, n)
                 deltas = rng.uniform(0, 2 * np.pi, n)
-                original = correlation_value(tensor, AngleSettings(angles))
+                original = correlation_value(tensor, angles)
                 counter = correlation_value(
-                    rotate_frames(tensor, -deltas), AngleSettings(angles + deltas)
+                    rotate_frames(tensor, -deltas), angles + deltas
                 )
                 assert counter == pytest.approx(original, abs=1e-10)
 
@@ -239,7 +239,7 @@ class TestCorrelationFunctionCallable:
         fn = correlation_function(tensor)
         angles = rng.uniform(0, 2 * np.pi, 3)
         assert float(fn(*angles)) == pytest.approx(
-            correlation_value(tensor, AngleSettings(angles)), abs=1e-12
+            correlation_value(tensor, angles), abs=1e-12
         )
 
     def test_broadcasts_over_grids(self):
@@ -261,7 +261,7 @@ class TestCorrelationFunctionCallable:
         for i, j, k in np.ndindex(out.shape):
             point = [angles[0][i, 0, 0], angles[1][j, 0], angles[2], angles[3][k]]
             assert out[i, j, k] == pytest.approx(
-                correlation_value(tensor, AngleSettings(point)), abs=1e-12
+                correlation_value(tensor, point), abs=1e-12
             )
 
     def test_scalar_angles_give_0d_and_wrong_count_raises(self):

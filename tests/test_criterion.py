@@ -8,6 +8,7 @@ import pytest
 from rotbell import (
     CorrelationTensor,
     DomainError,
+    InvalidSizeError,
     REGION_LOCAL,
     REGION_NONLOCAL,
     REGION_PARADOX,
@@ -93,8 +94,11 @@ class TestGhzThresholds:
             assert 0.0 < th.v_two_setting <= 2.0
 
     def test_rejects_zero_parties(self):
-        with pytest.raises(DomainError):
-            ghz_thresholds(0)
+        # InvalidSizeError, like build_ghz and ghz_planar_tensor; a DomainError
+        for n in (0, -1):
+            with pytest.raises(InvalidSizeError, match=f"n_parties must be >= 1, got {n}"):
+                ghz_thresholds(n)
+        assert issubclass(InvalidSizeError, DomainError)
 
 
 class TestGhzScan:

@@ -85,35 +85,34 @@ class TestResponseFunction:
         np.testing.assert_array_equal(r(angles), r(angles + TWO_PI))
         assert set(np.unique(r(angles))) <= {-1.0, 1.0}
 
-    def test_negated(self):
-        r = ResponseFunction((0.3, 1.1), 1)
-        np.testing.assert_array_equal(r.negated()(np.linspace(0, 6, 13)), -r(np.linspace(0, 6, 13)))
+
+def projection_norm(overlaps):
+    """Length of the projection onto cos/sqrt(pi), sin/sqrt(pi)."""
+    return math.hypot(*overlaps) / math.sqrt(math.pi)
 
 
 class TestProject:
     def test_sign_of_cos(self):
         p = project(ResponseFunction((math.pi / 2, 3 * math.pi / 2), 1))
-        assert p.a == pytest.approx(4.0, abs=1e-14)
-        assert p.b == pytest.approx(0.0, abs=1e-14)
-        assert p.norm == pytest.approx(PROJECTION_NORM_BOUND, abs=1e-14)
-        assert angle_gap(p.beta, 0.0) < 1e-14
-        assert p.beta_defined
+        assert p.shape == (2,) and p.dtype == float
+        a, b = p
+        assert a == pytest.approx(4.0, abs=1e-14)
+        assert b == pytest.approx(0.0, abs=1e-14)
+        assert projection_norm(p) == pytest.approx(PROJECTION_NORM_BOUND, abs=1e-14)
 
     def test_constant_projects_to_zero(self):
         p = project(ResponseFunction((), 1))
-        assert (p.a, p.b, p.norm) == (0.0, 0.0, 0.0)
-        assert not p.beta_defined
-        assert p.beta == 0.0
+        assert p.shape == (2,)
+        assert p.tolist() == [0.0, 0.0]
 
     def test_shifted_sign_of_cos(self):
         psi = math.pi / 3
-        p = project(saturating_response(psi))
-        assert p.a == pytest.approx(2.0, abs=1e-12)
-        assert p.b == pytest.approx(2.0 * math.sqrt(3.0), abs=1e-12)
-        assert angle_gap(p.beta, psi) < 1e-12
+        a, b = project(saturating_response(psi))
+        assert a == pytest.approx(2.0, abs=1e-12)
+        assert b == pytest.approx(2.0 * math.sqrt(3.0), abs=1e-12)
         oracle_a, oracle_b = quad_projection_oracle(saturating_response(psi))
-        assert p.a == pytest.approx(oracle_a, abs=1e-9)
-        assert p.b == pytest.approx(oracle_b, abs=1e-9)
+        assert a == pytest.approx(oracle_a, abs=1e-9)
+        assert b == pytest.approx(oracle_b, abs=1e-9)
 
     def test_random_responses_against_quadrature_oracle(self):
         rng = np.random.default_rng(3)
@@ -122,29 +121,19 @@ class TestProject:
             points = tuple(sorted(rng.uniform(0, TWO_PI, flips)))
             r = ResponseFunction(points, int(rng.choice([-1, 1])))
             oracle_a, oracle_b = quad_projection_oracle(r)
-            p = project(r)
-            assert p.a == pytest.approx(oracle_a, abs=1e-9)
-            assert p.b == pytest.approx(oracle_b, abs=1e-9)
-
-    def test_polar_decomposition_consistency(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            points = tuple(sorted(rng.uniform(0, TWO_PI, 4)))
-            p = project(ResponseFunction(points, 1))
-            if p.beta_defined:
-                root_pi = math.sqrt(math.pi)
-                assert p.a == pytest.approx(root_pi * p.norm * math.cos(p.beta), abs=1e-12)
-                assert p.b == pytest.approx(root_pi * p.norm * math.sin(p.beta), abs=1e-12)
+            a, b = project(r)
+            assert a == pytest.approx(oracle_a, abs=1e-9)
+            assert b == pytest.approx(oracle_b, abs=1e-9)
 
     @given(response_functions())
     @settings(max_examples=200, deadline=None)
     def test_norm_bound(self, response):
-        assert project(response).norm <= PROJECTION_NORM_BOUND + 1e-12
+        assert projection_norm(project(response)) <= PROJECTION_NORM_BOUND + 1e-12
 
     def test_bound_attained_only_near_saturation(self):
         # a response with flips not pi apart stays strictly below the bound
         r = ResponseFunction((1.0, 2.0), 1)
-        assert project(r).norm < PROJECTION_NORM_BOUND - 1e-3
+        assert projection_norm(project(r)) < PROJECTION_NORM_BOUND - 1e-3
 
 
 class TestSaturatingResponse:
@@ -168,11 +157,13 @@ class TestSaturatingResponse:
                     assert r(a) == expected
 
     def test_norm_saturates_for_random_psi(self):
+        # overlaps 4 (cos psi, sin psi): the bound, along psi
         rng = np.random.default_rng(11)
         for psi in rng.uniform(0, TWO_PI, 100):
             p = project(saturating_response(float(psi)))
-            assert p.norm == pytest.approx(PROJECTION_NORM_BOUND, abs=1e-12)
-            assert angle_gap(p.beta, psi % TWO_PI) < 1e-9
+            expected = 4 * np.array([math.cos(psi), math.sin(psi)])
+            np.testing.assert_allclose(p, expected, rtol=0, atol=1e-9)
+            assert projection_norm(p) == pytest.approx(PROJECTION_NORM_BOUND, abs=1e-12)
 
 
 class TestQuadratureInnerProduct:
@@ -191,29 +182,16 @@ class TestQuadratureInnerProduct:
         value = quadrature_inner_product(np.cos, np.sin, 1, 64)
         assert value == pytest.approx(0.0, abs=1e-12)
 
-    def test_factored_matches_full_grid(self):
-        f = [np.cos, np.sin]
-        g = [lambda a: np.sin(2 * a), lambda a: np.cos(a) ** 2]
-        full_f = lambda a1, a2: np.cos(a1) * np.sin(a2)
-        full_g = lambda a1, a2: np.sin(2 * a1) * np.cos(a2) ** 2
-        assert quadrature_inner_product(f, g, 2, 32) == pytest.approx(
-            quadrature_inner_product(full_f, full_g, 2, 32), abs=1e-12
-        )
-
     def test_budget_guard(self):
         fn = correlation_function(ghz_planar_tensor(4, 0.5))
-        with pytest.raises(BudgetError):
+        message = r"64\^4 grid nodes exceed the budget of 1000000; raise max_evaluations$"
+        with pytest.raises(BudgetError, match=message):
             quadrature_inner_product(fn, fn, 4, 64, max_evaluations=10**6)
-        # factored integrands bypass the grid entirely
-        responses = [saturating_response(0.0)] * 4
-        assert quadrature_inner_product(responses, responses, 4, 64, max_evaluations=10**6) == pytest.approx(
-            TWO_PI**4, rel=1e-12
+        # at the budget the grid runs: 32^4 nodes
+        assert quadrature_inner_product(fn, fn, 4, 32, max_evaluations=32**4) == pytest.approx(
+            math.pi**4 * 0.25 * 8, rel=1e-12
         )
 
     def test_node_count_floor(self):
         with pytest.raises(DomainError):
             quadrature_inner_product(np.cos, np.cos, 1, 4)
-
-    def test_factored_length_mismatch(self):
-        with pytest.raises(DomainError):
-            quadrature_inner_product([np.cos], np.sin, 2, 16)

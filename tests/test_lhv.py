@@ -126,8 +126,9 @@ class TestEnsembleInnerProduct:
     def test_sign_flipped_mixture_cancels(self):
         rng = np.random.default_rng(6)
         strategy = random_strategy(rng, 3)
+        first = strategy.responses[0]
         flipped = DeterministicStrategy(
-            (strategy.responses[0].negated(), *strategy.responses[1:])
+            (ResponseFunction(first.breakpoints, -first.leading_sign), *strategy.responses[1:])
         )
         ensemble = LhvEnsemble([strategy, flipped], [0.5, 0.5])
         assert ensemble_inner_product(ensemble, random_tensor(rng, 3)) == pytest.approx(

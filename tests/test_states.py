@@ -81,16 +81,6 @@ class TestPauliAxis:
     def test_exactly_three_axes(self):
         assert len(PauliAxis) == 3
 
-    def test_index_mapping(self):
-        assert [PauliAxis.X.index, PauliAxis.Y.index, PauliAxis.Z.index] == [1, 2, 3]
-
-    @pytest.mark.parametrize("axis", list(PauliAxis))
-    def test_squares_to_identity(self, axis):
-        np.testing.assert_allclose(axis.matrix @ axis.matrix, np.eye(2), atol=1e-15)
-
-    @pytest.mark.parametrize("axis", list(PauliAxis))
-    def test_matrix_matches_standard_form(self, axis):
-        np.testing.assert_array_equal(axis.matrix, ORACLE_PAULI[axis.value])
 
 
 class TestBuildGhz:

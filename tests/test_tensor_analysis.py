@@ -21,7 +21,13 @@ from rotbell import (
     tensor_from_state,
 )
 from rotbell.correlation import product_contraction
-from rotbell.tensor_analysis import CERTIFY_RTOL, _ascend, _fourier_bound, _start_points
+from rotbell.tensor_analysis import (
+    _IMPROVEMENT_TOL,
+    CERTIFY_RTOL,
+    _ascend,
+    _fourier_bound,
+    _start_points,
+)
 
 
 def diagonal_n2_tensor():
@@ -215,9 +221,6 @@ class TestTMax:
             {"random_starts": -5},
             {"seed": -3, "random_starts": -1},
             {"max_sweeps": -5},
-            {"improvement_tol": math.nan},
-            {"improvement_tol": -1.0},
-            {"improvement_tol": math.inf},
         ],
     )
     def test_config_rejects_negative_seed_and_starts(self, kwargs):
@@ -235,15 +238,13 @@ class TestBatchedAscent:
         cfg = OptimizerConfig(random_starts=random_starts, seed=n)
         starts = _start_points(tensor.values, cfg)
         runs = [
-            reference_ascent(tensor.values, start, cfg.max_sweeps, cfg.improvement_tol)
+            reference_ascent(tensor.values, start, cfg.max_sweeps, _IMPROVEMENT_TOL)
             for start in starts
         ]
         # each row stops at its own convergence, as a lone ascent would; a
-        # slowly converging row stops within a few improvement_tol of its
+        # slowly converging row stops within a few _IMPROVEMENT_TOL of its
         # maximum, so rows agree to 1e-10, not to rounding
-        _, values, sweeps, converged = _ascend(
-            tensor.values, starts, cfg.max_sweeps, cfg.improvement_tol, math.inf
-        )
+        _, values, sweeps, converged = _ascend(tensor.values, starts, cfg.max_sweeps, math.inf)
         np.testing.assert_allclose(values, [r[1] for r in runs], rtol=0, atol=1e-10)
         assert np.max(np.abs(sweeps - [r[2] for r in runs])) <= 1
         np.testing.assert_array_equal(converged, [r[3] for r in runs])
@@ -282,14 +283,15 @@ class TestAscentOracle:
         rng = np.random.default_rng([n, random_starts, len(family.__name__), 89])
         values = family(rng, n).values
         starts = _start_points(values, OptimizerConfig(random_starts=random_starts, seed=n))
-        tol = OptimizerConfig().improvement_tol
+        tol = _IMPROVEMENT_TOL
         target = {
             "inf": lambda: math.inf,
             "fourier": lambda: _fourier_bound(values) * (1 - CERTIFY_RTOL / 2),
             "first to leave": lambda: self.first_to_leave(values, starts, tol),
         }[target]()
-        args = (values, starts, max_sweeps, tol, target)
-        for got, want in zip(_ascend(*args), reference_batched_ascent(*args)):
+        got_all = _ascend(values, starts, max_sweeps, target)
+        want_all = reference_batched_ascent(values, starts, max_sweeps, tol, target)
+        for got, want in zip(got_all, want_all):
             np.testing.assert_array_equal(got, want)
 
 
@@ -297,9 +299,7 @@ def full_ascent(tensor, cfg):
     """The best start of the ascent run with no certificate stop, as t_max
     picks and reports it: (value, maximizer, total sweeps)."""
     starts = _start_points(tensor.values, cfg)
-    ds, values, sweeps, _ = _ascend(
-        tensor.values, starts, cfg.max_sweeps, cfg.improvement_tol, math.inf
-    )
+    ds, values, sweeps, _ = _ascend(tensor.values, starts, cfg.max_sweeps, math.inf)
     best = int(np.argmax(values))
     maximizer = ds[best] / np.linalg.norm(ds[best], axis=1)[:, None]
     return float(product_contraction(tensor.values, maximizer)), maximizer, int(sweeps.sum())
@@ -339,9 +339,7 @@ class TestCertificateStop:
         for tensor in tensors:
             starts = _start_points(tensor.values, cfg)
             target = _fourier_bound(tensor.values) * (1 - CERTIFY_RTOL / 2)
-            ds, values, sweeps, _ = _ascend(
-                tensor.values, starts, cfg.max_sweeps, cfg.improvement_tol, target
-            )
+            ds, values, sweeps, _ = _ascend(tensor.values, starts, cfg.max_sweeps, target)
             result = t_max(tensor, cfg)
             assert int(np.argmax(values)) == 0 and result.value == values[0]
             np.testing.assert_array_equal(result.maximizer, ds[0])
