@@ -73,14 +73,13 @@ class ScanPoint:
     region: str
 
 
-def _report(tensor: CorrelationTensor, top_value: float, certified: bool) -> CriterionReport:
-    """Both sides of the exclusion test, given the tensor's T_max; one
-    sum of squares gives lhs = pi^N * sum(T^2) and two-setting modelability."""
-    sum_sq = sum_of_squares(tensor)
-    lhs = np.pi**tensor.n_parties * sum_sq
-    rhs = 4.0**tensor.n_parties * top_value
+def _report(n: int, sum_sq: float, top_value: float, certified: bool) -> CriterionReport:
+    """Both sides of the exclusion test for an N-party tensor, given its sum of
+    squares and T_max; the sum of squares also gives two-setting modelability."""
+    lhs = np.pi**n * sum_sq
+    rhs = 4.0**n * top_value
     return CriterionReport(
-        n_parties=tensor.n_parties,
+        n_parties=n,
         lhs=lhs,
         rhs=rhs,
         violated=lhs > rhs,
@@ -96,7 +95,7 @@ def ri_criterion(
 ) -> CriterionReport:
     """Evaluate the rotational-invariance exclusion test for a tensor."""
     top = t_max(tensor, config)
-    return _report(tensor, top.value, top.certified)
+    return _report(tensor.n_parties, sum_of_squares(tensor), top.value, top.certified)
 
 
 def ghz_thresholds(n_parties: int) -> GhzThresholds:
@@ -126,10 +125,10 @@ def ghz_scan(
 
     ``steps`` is the number of grid points (numpy.linspace semantics:
     both endpoints included for steps >= 2, just v_min for steps = 1).
-    The maximization runs once per scan: GHZ(N, V) = V * GHZ(N, 1) and
-    T_max is positively homogeneous, so each point's T_max is V times
-    that of GHZ(N, 1), with its certification flag.  Rows are returned
-    in grid order.
+    GHZ(N, 1) is built, maximized and summed once per scan: GHZ(N, V) = V *
+    GHZ(N, 1), T_max is positively homogeneous and all 2^(N-1) nonzero entries
+    are +-V, so a point's T_max is V times T_max(GHZ(N, 1)), certified alike,
+    and its sum of squares is V*V * 2^(N-1) exactly.  Rows are in grid order.
     """
     if not 0.0 <= v_min <= v_max <= 1.0:
         raise DomainError(
@@ -139,10 +138,11 @@ def ghz_scan(
         raise DomainError(f"steps must be >= 1, got {steps}")
     if steps > np.iinfo(np.intp).max // 8:  # past intp.max bytes numpy raises ValueError
         raise DomainError(f"steps={steps} is more than numpy can address")
-    top = t_max(ghz_planar_tensor(n_parties, 1.0), config)
+    unit = ghz_planar_tensor(n_parties, 1.0)
+    top, unit_sq = t_max(unit, config), sum_of_squares(unit)
     points = []
     for v in np.linspace(v_min, v_max, steps):
         v = float(v)
-        report = _report(ghz_planar_tensor(n_parties, v), v * top.value, top.certified)
+        report = _report(n_parties, v * v * unit_sq, v * top.value, top.certified)
         points.append(ScanPoint(v, report, classify(report)))
     return points

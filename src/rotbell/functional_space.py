@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetError, DomainError
+from .states import _check_party_count
 
 _TWO_PI = 2.0 * math.pi
 
@@ -124,8 +125,7 @@ def quadrature_inner_product(
     broadcastable angle arrays; the full grid is guarded by
     ``max_evaluations``.
     """
-    if n_parties < 1:
-        raise DomainError(f"n_parties must be >= 1, got {n_parties}")
+    _check_party_count(n_parties)
     if nodes_per_axis < 8:
         raise DomainError(f"nodes_per_axis must be >= 8, got {nodes_per_axis}")
     if nodes_per_axis**n_parties > max_evaluations:

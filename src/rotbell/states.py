@@ -113,8 +113,11 @@ class DensityMatrix:
             raise ShapeError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise DomainError("density matrix entries must be finite")
-        if np.max(np.abs(mat - mat.conj().T)) > _TOL:
+        skew = np.conjugate(mat.T, order="C")  # rho^dagger - rho in one temporary
+        skew -= mat
+        if np.abs(skew).max() > _TOL:
             raise DomainError("density matrix is not Hermitian")
+        del skew  # not held through the factorization below
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > _TOL:
             raise DomainError(f"trace {tr} differs from 1")
@@ -200,14 +203,16 @@ def mix_with_white_noise(state: StateVector, visibility: float) -> NoisyPureStat
 def contract(values: np.ndarray, rows: Sequence) -> np.ndarray:
     """Contract party j's axis of a (2,)*N array with ``rows[j]``, in O(N 2^N).
 
-    Row j is a (2,) row or a (k, 2) stack of rows; each contraction consumes
-    the leading (party j) axis and appends the stack axis, if any, at the end,
-    so stacks leave their axes in party order.
+    Row j is a (2,) row or a (k, 2) stack of rows.  Each party is one matmul,
+    bit-identical to np.tensordot's: it consumes the leading (party j) axis
+    and appends the stack axis, if any, at the end, so stacks leave their
+    axes in party order.
     """
-    out = values
-    for row in rows:
-        out = np.tensordot(out, row, axes=([0], [-1]))
-    return out
+    out, stack = values, ()
+    for row in map(np.asarray, rows):
+        out = out.reshape(2, -1).T @ row.T
+        stack += row.shape[:-1]
+    return out.reshape(stack)
 
 
 def pauli_expectation(rho: MixedState, axes: Sequence[AxisLike]) -> float:

@@ -149,10 +149,13 @@ class TestGhzScan:
                 if abs(p.visibility - v_ri) > boundary_tol:
                     assert p.report.violated == (p.visibility > v_ri)
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_matches_per_point_criterion(self, n):
-        # one optimization per scan, by homogeneity, against one per point
-        for point in ghz_scan(n, 0.0, 1.0, 21):
+    @pytest.mark.parametrize("v_max", [1.0, 1e-160, 5e-324])
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_per_point_criterion(self, n, v_max):
+        # one optimization and one sum of squares per scan, by homogeneity and
+        # the closed form V*V * 2^(N-1), against both per point; the tiny grids
+        # pin squares that are subnormal or underflow to zero
+        for point in ghz_scan(n, 0.0, v_max, 21):
             report = ri_criterion(ghz_planar_tensor(n, point.visibility))
             assert point.report.rhs == pytest.approx(report.rhs, rel=1e-12, abs=0)
             for field in ("lhs", "sum_sq", "violated", "two_setting_model", "certified"):

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from rotbell import (
     BudgetError,
     DomainError,
+    InvalidSizeError,
     PROJECTION_NORM_BOUND,
     ResponseFunction,
     correlation_function,
@@ -195,3 +196,8 @@ class TestQuadratureInnerProduct:
     def test_node_count_floor(self):
         with pytest.raises(DomainError):
             quadrature_inner_product(np.cos, np.cos, 1, 4)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_party_count_below_one(self, n):
+        with pytest.raises(InvalidSizeError, match=f"n_parties must be >= 1, got {n}"):
+            quadrature_inner_product(np.cos, np.cos, n, 8)

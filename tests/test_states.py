@@ -48,15 +48,41 @@ def einsum_contract(values, rows):
     return np.einsum(*operands, output)
 
 
-#: Random contraction rows by form: a (2,) row, or a real or complex (2, 2) stack.
+def tensordot_contract(values, rows):
+    """``contract`` as one np.tensordot per party, the loop it replaced."""
+    out = values
+    for row in rows:
+        out = np.tensordot(out, row, axes=([0], [-1]))
+    return out
+
+
+#: Random contraction rows by form: a (2,) row, a real or complex (2, 2) stack,
+#: or a (3, 2) stack, whose axis cannot be confused with a party axis.
 ROW_FORMS = {
     "rows": lambda rng: rng.normal(size=2),
     "real stacks": lambda rng: rng.normal(size=(2, 2)),
     "complex stacks": lambda rng: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+    "wide stacks": lambda rng: rng.normal(size=(3, 2)),
 }
 
 
 class TestContract:
+    @pytest.mark.parametrize("kind", [*ROW_FORMS, "mixed"])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_tensordot_loop(self, n, complex_values, kind):
+        # the same products summed in the same order: equal bit for bit
+        rng = np.random.default_rng([89, n])
+        values = rng.normal(size=(2,) * n)
+        if complex_values:
+            values = values + 1j * rng.normal(size=(2,) * n)
+        forms = rng.choice(list(ROW_FORMS), size=n) if kind == "mixed" else [kind] * n
+        rows = [ROW_FORMS[form](rng) for form in forms]
+        got = contract(values, rows)
+        expected = tensordot_contract(values, rows)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
     @pytest.mark.parametrize("kind", [*ROW_FORMS, "mixed"])
     @pytest.mark.parametrize("complex_values", [False, True])
     @pytest.mark.parametrize("n", range(1, 9))
@@ -262,6 +288,22 @@ class TestDensityMatrixValidation:
         mat[0, 1] = 0.5
         with pytest.raises(DomainError):
             DensityMatrix(1, mat)
+
+    @pytest.mark.parametrize(
+        "where, offset, accepted",
+        [((0, 5), 2e-12, False), ((6, 1), 2e-12j, False), ((2, 2), 2e-12j, False),
+         ((2, 2), 1e-12j, False), ((0, 5), 5e-13, True), ((6, 1), 5e-13j, True)],
+    )
+    def test_hermiticity_tolerance(self, where, offset, accepted):
+        # one entry moved on one side only: |rho - rho^dagger| there is |offset|,
+        # or twice its imaginary part on the diagonal, against the 1e-12 tolerance
+        mat = planted_state(np.random.default_rng(97), 3, 0.01)
+        mat[where] += offset
+        if accepted:
+            assert DensityMatrix(3, mat).entries[where] == mat[where]
+        else:
+            with pytest.raises(DomainError, match="not Hermitian"):
+                DensityMatrix(3, mat)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(DomainError):
