@@ -48,7 +48,6 @@ from .lhv import (
 from .states import (
     DensityMatrix,
     NoisyPureState,
-    PauliAxis,
     StateVector,
     build_ghz,
     mix_with_white_noise,
@@ -79,7 +78,6 @@ __all__ = [
     "NoisyPureState",
     "OptimizerConfig",
     "PROJECTION_NORM_BOUND",
-    "PauliAxis",
     "REGION_LOCAL",
     "REGION_NONLOCAL",
     "REGION_PARADOX",

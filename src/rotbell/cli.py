@@ -122,6 +122,13 @@ def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _subcommand(sub, name: str, help: str, handler) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--out", metavar="FILE")
+    p.set_defaults(handler=handler)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rotbell",
@@ -129,35 +136,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tensor", help="emit a noisy-GHZ planar tensor as JSON")
+    p = _subcommand(sub, "tensor", "emit a noisy-GHZ planar tensor as JSON", _cmd_tensor)
     p.add_argument("--ghz", type=int, required=True, metavar="N", help="party count")
     p.add_argument("--visibility", type=float, required=True, metavar="V")
-    p.add_argument("--out", metavar="FILE.json")
-    p.set_defaults(handler=_cmd_tensor)
 
-    p = sub.add_parser("tmax", help="maximize a tensor over planar settings")
+    p = _subcommand(sub, "tmax", "maximize a tensor over planar settings", _cmd_tmax)
     p.add_argument("--in", dest="infile", required=True, metavar="FILE.json")
-    p.add_argument("--out", metavar="FILE.json")
     _add_optimizer_flags(p)
-    p.set_defaults(handler=_cmd_tmax)
 
-    p = sub.add_parser("check", help="evaluate the exclusion criterion for a tensor")
+    p = _subcommand(sub, "check", "evaluate the exclusion criterion for a tensor", _cmd_check)
     p.add_argument("--in", dest="infile", required=True, metavar="FILE.json")
-    p.add_argument("--out", metavar="FILE.json")
     _add_optimizer_flags(p)
-    p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("scan", help="scan the criterion over a visibility grid")
+    p = _subcommand(sub, "scan", "scan the criterion over a visibility grid", _cmd_scan)
     p.add_argument("--ghz", type=int, required=True, metavar="N", help="party count")
     p.add_argument("--v-min", type=float, required=True)
     p.add_argument("--v-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True, help="number of grid points")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", metavar="FILE")
     _add_optimizer_flags(p)
-    p.set_defaults(handler=_cmd_scan)
 
-    p = sub.add_parser("verify-bound", help="stress-test the bound with random ensembles")
+    p = _subcommand(
+        sub, "verify-bound", "stress-test the bound with random ensembles", _cmd_verify_bound
+    )
     p.add_argument("--in", dest="infile", required=True, metavar="FILE.json")
     p.add_argument("--trials", type=int, default=1000, metavar="T")
     p.add_argument(
@@ -165,9 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="do not add the saturating strategy to the trial set",
     )
-    p.add_argument("--out", metavar="FILE.json")
     _add_optimizer_flags(p)
-    p.set_defaults(handler=_cmd_verify_bound)
 
     return parser
 

@@ -33,9 +33,7 @@ class CorrelationTensor:
     """Real tensor with one binary index per party (1 <-> x, 2 <-> y).
 
     ``values`` has shape (2,)*N with axis j-1 belonging to party j and
-    position 0/1 standing for planar index 1/2.  The serialized flat
-    layout packs the multi-index little-endian into an integer key in
-    [0, 2^N): bit j-1 is party j, bit value 0 <-> index 1, 1 <-> index 2.
+    position 0/1 standing for planar index 1/2.
     """
 
     n_parties: int
@@ -54,21 +52,6 @@ class CorrelationTensor:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Entries in the little-endian packed order (bit 0 = party 1)."""
-        return self.values.reshape(-1, order="F")
-
-    @classmethod
-    def from_flat(cls, n_parties: int, flat: Sequence[float]) -> "CorrelationTensor":
-        arr = np.asarray(flat, dtype=float)
-        if arr.shape != (2**n_parties,):
-            raise ShapeError(
-                f"expected {2**n_parties} entries for {n_parties} parties, "
-                f"got shape {arr.shape}"
-            )
-        return cls(n_parties, arr.reshape((2,) * n_parties, order="F"))
 
     def entry(self, multi_index: Sequence[int]) -> float:
         """Entry for a multi-index of planar indices, each 1 or 2."""
@@ -148,8 +131,8 @@ def ghz_planar_tensor(n_parties: int, visibility: float) -> CorrelationTensor:
     if not 0.0 <= visibility <= 1.0:
         raise DomainError(f"visibility must lie in [0, 1], got {visibility}")
     k = ((np.arange(2**n_parties)[:, None] >> np.arange(n_parties)) & 1).sum(axis=1)
-    flat = visibility * np.array([1.0, 0.0, -1.0, 0.0])[k % 4]
-    return CorrelationTensor.from_flat(n_parties, flat)
+    flat = visibility * np.array([1.0, 0.0, -1.0, 0.0])[k % 4]  # bit j-1: party j
+    return CorrelationTensor(n_parties, flat.reshape((2,) * n_parties, order="F"))
 
 
 def correlation_value(tensor: CorrelationTensor, angles: Sequence[float]) -> float:

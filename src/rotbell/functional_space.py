@@ -103,10 +103,8 @@ def saturating_response(psi: float) -> ResponseFunction:
     """
     b1 = float(psi + math.pi / 2.0) % _TWO_PI
     b2 = float(psi + 3.0 * math.pi / 2.0) % _TWO_PI
-    lo, hi = sorted((b1, b2))
-    mid = 0.5 * (lo + hi)
-    inside = 1 if math.cos(mid - psi) > 0.0 else -1  # value on [lo, hi)
-    return ResponseFunction((lo, hi), -inside)
+    # sgn cos is -1 on [b1, b2) unless that interval wraps past 2*pi
+    return ResponseFunction(sorted((b1, b2)), 1 if b1 < b2 else -1)
 
 
 def quadrature_inner_product(

@@ -30,9 +30,9 @@ from .functional_space import (
     saturating_response,
     sign_overlaps,
 )
+from .states import _TOL
 from .tensor_analysis import OptimizerConfig, sum_of_squares, t_max
 
-_WEIGHT_SUM_TOL = 1e-12
 _MAX_FLIPS = 8
 _MAX_STRATEGIES = 4
 
@@ -84,7 +84,7 @@ class LhvEnsemble:
             raise ShapeError("strategies have differing party counts")
         if np.any(w < 0.0):
             raise DomainError("weights must be nonnegative")
-        if abs(float(np.sum(w)) - 1.0) > _WEIGHT_SUM_TOL:
+        if abs(float(np.sum(w)) - 1.0) > _TOL:
             raise DomainError(f"weights sum to {float(np.sum(w))}, expected 1")
         w = w.copy()
         w.setflags(write=False)
@@ -157,7 +157,7 @@ def optimal_strategy(
 
 
 def _two_setting_holds(sum_sq: float) -> bool:
-    return sum_sq <= 1.0 + 1e-12  # roundoff guard: the boundary classifies non-strictly
+    return sum_sq <= 1.0 + _TOL  # roundoff guard: the boundary classifies non-strictly
 
 
 def two_setting_model_exists(tensor: CorrelationTensor) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -23,36 +22,16 @@ from .errors import DomainError, InvalidSizeError, ShapeError
 MAX_STATE_PARTIES = 14
 MAX_DENSE_PARTIES = 10
 
-_TOL = 1e-12  # on the norm, Hermiticity and trace
+_TOL = 1e-12  # roundoff on the norm, Hermiticity, trace and unit sums
 _EIGENVALUE_FLOOR = -1e-10
 
 
-class PauliAxis(Enum):
-    """One of the three local measurement axes."""
-
-    X = "x"
-    Y = "y"
-    Z = "z"
-
-
-_PAULI = {
-    PauliAxis.X: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    PauliAxis.Y: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    PauliAxis.Z: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+#: Per Pauli axis: flip f and phase row r, sigma[b xor f, b] = r[b] for b = 0, 1.
+_AXES = {
+    "x": (1, np.array([1, 1], dtype=complex)),
+    "y": (1, np.array([1j, -1j], dtype=complex)),
+    "z": (0, np.array([1, -1], dtype=complex)),
 }
-#: Flip f per axis: the nonzero entries of each Pauli are sigma[b xor f, b], b = 0, 1.
-_FLIPS = {PauliAxis.X: 1, PauliAxis.Y: 1, PauliAxis.Z: 0}
-
-AxisLike = Union[PauliAxis, str]
-
-
-def _as_axis(axis: AxisLike) -> PauliAxis:
-    if isinstance(axis, PauliAxis):
-        return axis
-    try:
-        return PauliAxis(str(axis).lower())
-    except ValueError:
-        raise DomainError(f"unknown Pauli axis {axis!r}; expected one of x, y, z") from None
 
 
 def _check_party_count(n_parties: int, cap: float = math.inf) -> None:
@@ -215,20 +194,23 @@ def contract(values: np.ndarray, rows: Sequence) -> np.ndarray:
     return out.reshape(stack)
 
 
-def pauli_expectation(rho: MixedState, axes: Sequence[AxisLike]) -> float:
+def pauli_expectation(rho: MixedState, axes: Sequence[str]) -> float:
     """Expectation of the N-fold Pauli product sigma_a1 x ... x sigma_aN.
 
-    Tr(rho P) = sum_b rho[b, b xor f] prod_j <b_j xor f_j|sigma_aj|b_j>,
-    where the flip mask f has a bit set for every x or y factor, so only
-    2^N entries of rho contribute.
+    Each axis is "x", "y" or "z" in either case.  Tr(rho P) =
+    sum_b rho[b, b xor f] prod_j <b_j xor f_j|sigma_aj|b_j>, where the flip
+    mask f has a bit set for every x or y factor, so only 2^N entries of
+    rho contribute.
     """
-    resolved = [_as_axis(a) for a in axes]
+    resolved = [_AXES.get(str(a).lower()) for a in axes]
+    if None in resolved:
+        unknown = axes[resolved.index(None)]
+        raise DomainError(f"unknown Pauli axis {unknown!r}; expected one of x, y, z")
     if len(resolved) != rho.n_parties:
         raise ShapeError(
             f"got {len(resolved)} axes for a {rho.n_parties}-party state"
         )
-    flips = [_FLIPS[a] for a in resolved]
-    rows = [_PAULI[a][[f, 1 - f], [0, 1]] for a, f in zip(resolved, flips)]
+    flips, rows = zip(*resolved)
     mask = int("".join(map(str, flips)), 2)
     return float(contract(rho.gather(mask).reshape((2,) * rho.n_parties), rows).real)
 
@@ -239,6 +221,6 @@ def planar_expectations(rho: MixedState) -> np.ndarray:
     Axis j-1 is party j, with 0 for x and 1 for y.  Every such product flips
     all qubits, so this is the anti-diagonal rho[b, ~b] phased per party.
     """
-    rows = np.stack([_PAULI[a][[1, 0], [0, 1]] for a in (PauliAxis.X, PauliAxis.Y)])
+    rows = np.stack([_AXES["x"][1], _AXES["y"][1]])
     n = rho.n_parties
     return contract(rho.gather(2**n - 1).reshape((2,) * n), [rows] * n).real

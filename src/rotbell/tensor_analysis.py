@@ -202,7 +202,7 @@ def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> T
 
 def sum_of_squares(tensor: CorrelationTensor) -> float:
     """Sum of the squares of all 2^N planar entries (exactly rounded)."""
-    return math.fsum(np.square(tensor.flat).tolist())
+    return math.fsum(np.square(tensor.values).ravel().tolist())
 
 
 def analytic_inner_product(tensor_a: CorrelationTensor, tensor_b: CorrelationTensor) -> float:
@@ -214,5 +214,5 @@ def analytic_inner_product(tensor_a: CorrelationTensor, tensor_b: CorrelationTen
     """
     if tensor_a.n_parties != tensor_b.n_parties:
         raise ShapeError(f"party counts differ: {tensor_a.n_parties} vs {tensor_b.n_parties}")
-    dot = math.fsum((tensor_a.flat * tensor_b.flat).tolist())
+    dot = math.fsum((tensor_a.values * tensor_b.values).ravel().tolist())
     return math.pi**tensor_a.n_parties * dot

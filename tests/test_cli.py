@@ -1,5 +1,6 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import math
@@ -363,3 +364,68 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["tensor", "--ghz", "3"])
         assert excinfo.value.code == 2
+
+
+#: Optimizer flags shared by every subcommand but ``tensor``.
+OPTIMIZER_FLAGS = {
+    ("--seed",): ("seed", 0, int, False, None),
+    ("--starts",): ("starts", 64, int, False, None),
+    ("--require-certified",): ("require_certified", False, None, False, None),
+}
+OUT_FLAG = {("--out",): ("out", None, None, False, None)}
+IN_FLAG = {("--in",): ("infile", None, None, True, None)}
+
+#: Per subcommand, in order: option strings -> (dest, default, type, required, choices).
+CLI_SURFACE = {
+    "tensor": {
+        ("--ghz",): ("ghz", None, int, True, None),
+        ("--visibility",): ("visibility", None, float, True, None),
+        **OUT_FLAG,
+    },
+    "tmax": {**IN_FLAG, **OUT_FLAG, **OPTIMIZER_FLAGS},
+    "check": {**IN_FLAG, **OUT_FLAG, **OPTIMIZER_FLAGS},
+    "scan": {
+        ("--ghz",): ("ghz", None, int, True, None),
+        ("--v-min",): ("v_min", None, float, True, None),
+        ("--v-max",): ("v_max", None, float, True, None),
+        ("--steps",): ("steps", None, int, True, None),
+        ("--format",): ("format", "csv", None, False, ("csv", "json")),
+        **OUT_FLAG,
+        **OPTIMIZER_FLAGS,
+    },
+    "verify-bound": {
+        **IN_FLAG,
+        ("--trials",): ("trials", 1000, int, False, None),
+        ("--skip-optimal",): ("skip_optimal", False, None, False, None),
+        **OUT_FLAG,
+        **OPTIMIZER_FLAGS,
+    },
+}
+
+
+def subcommand_parsers():
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestParserSurface:
+    """Every subcommand's flags, pinned: a shared helper may not drop or alter one."""
+
+    def test_subcommands_in_order(self):
+        assert list(subcommand_parsers()) == list(CLI_SURFACE)
+
+    @pytest.mark.parametrize("name", list(CLI_SURFACE))
+    def test_flags(self, name):
+        sub = subcommand_parsers()[name]
+        flags = {
+            tuple(a.option_strings): (a.dest, a.default, a.type, a.required, a.choices)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert flags == CLI_SURFACE[name]
+
+    @pytest.mark.parametrize("name", list(CLI_SURFACE))
+    def test_handler(self, name):
+        handler = subcommand_parsers()[name].get_default("handler")
+        assert handler is getattr(cli, "_cmd_" + name.replace("-", "_"))

@@ -37,6 +37,15 @@ def quad_projection_oracle(response):
     return a, b
 
 
+def midpoint_saturating_response(psi):
+    """``saturating_response`` as it was, probing cos at the midpoint of [lo, hi)."""
+    b1 = float(psi + math.pi / 2.0) % TWO_PI
+    b2 = float(psi + 3.0 * math.pi / 2.0) % TWO_PI
+    lo, hi = sorted((b1, b2))
+    inside = 1 if math.cos(0.5 * (lo + hi) - psi) > 0.0 else -1  # value on [lo, hi)
+    return ResponseFunction((lo, hi), -inside)
+
+
 @st.composite
 def response_functions(draw):
     flips = draw(st.sampled_from([0, 2, 4, 6, 8]))
@@ -156,6 +165,25 @@ class TestSaturatingResponse:
                 expected = 1.0 if math.cos(a - psi) > 0 else -1.0
                 if abs(math.cos(a - psi)) > 1e-9:
                     assert r(a) == expected
+
+    def test_same_as_midpoint_probe(self):
+        rng = np.random.default_rng(19)
+        psis = list(rng.uniform(-4 * math.pi, 4 * math.pi, 200_000))
+        for centre in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2, TWO_PI):
+            for direction in (-math.inf, math.inf):
+                psi = centre
+                for _ in range(50):
+                    psi = math.nextafter(psi, direction)
+                    psis.append(psi)
+            psis.append(centre)
+        xy = rng.normal(size=(100_000, 2))
+        psis += [math.atan2(y, x) % TWO_PI for x, y in xy]  # as optimal_strategy computes them
+        for psi in psis:
+            got, expected = saturating_response(psi), midpoint_saturating_response(psi)
+            assert (got.breakpoints, got.leading_sign) == (
+                expected.breakpoints,
+                expected.leading_sign,
+            ), psi
 
     def test_norm_saturates_for_random_psi(self):
         # overlaps 4 (cos psi, sin psi): the bound, along psi

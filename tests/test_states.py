@@ -1,5 +1,6 @@
 """Tests for state construction, noise mixing, and Pauli expectations."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,6 @@ from rotbell import (
     DomainError,
     InvalidSizeError,
     NoisyPureState,
-    PauliAxis,
     ShapeError,
     StateVector,
     build_ghz,
@@ -20,7 +20,7 @@ from rotbell import (
     pauli_expectation,
     tensor_from_state,
 )
-from rotbell.states import contract
+from rotbell.states import contract, planar_expectations
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -32,6 +32,26 @@ def trace_oracle(rho_entries, axis_names):
     """Independent expectation: explicit kron product and matrix trace."""
     product = reduce(np.kron, [ORACLE_PAULI[a] for a in axis_names])
     return float(np.trace(rho_entries @ product).real)
+
+
+#: Flip bit per axis: the nonzero entries of sigma_a are sigma_a[b xor f, b].
+ORACLE_FLIPS = {"x": 1, "y": 1, "z": 0}
+
+
+def row_extraction_expectation(rho, axes):
+    """``pauli_expectation`` as the dense-matrix row extraction it replaced."""
+    keys = [str(a).lower() for a in axes]
+    flips = [ORACLE_FLIPS[k] for k in keys]
+    rows = [ORACLE_PAULI[k][[f, 1 - f], [0, 1]] for k, f in zip(keys, flips)]
+    mask = int("".join(map(str, flips)), 2)
+    return float(contract(rho.gather(mask).reshape((2,) * rho.n_parties), rows).real)
+
+
+def row_extraction_planar(rho):
+    """``planar_expectations`` as the dense-matrix row extraction it replaced."""
+    rows = np.stack([ORACLE_PAULI[a][[1, 0], [0, 1]] for a in "xy"])
+    n = rho.n_parties
+    return contract(rho.gather(2**n - 1).reshape((2,) * n), [rows] * n).real
 
 
 def einsum_contract(values, rows):
@@ -101,12 +121,6 @@ class TestContract:
         # complex product)
         scale = einsum_contract(np.abs(values), [np.abs(r) for r in rows])
         assert np.all(np.abs(got - expected) <= 4 * 2**n * np.finfo(float).eps * scale)
-
-
-class TestPauliAxis:
-    def test_exactly_three_axes(self):
-        assert len(PauliAxis) == 3
-
 
 
 class TestBuildGhz:
@@ -375,8 +389,12 @@ class TestPauliExpectation:
 
     def test_unknown_axis(self):
         rho = mix_with_white_noise(build_ghz(2), 0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="unknown Pauli axis 'q'"):
             pauli_expectation(rho, ["x", "q"])
+        with pytest.raises(DomainError, match="unknown Pauli axis 'W'; expected one of x, y, z"):
+            pauli_expectation(rho, ["W"])  # named as given, before the count is checked
+        with pytest.raises(DomainError, match="unknown Pauli axis 1"):
+            pauli_expectation(rho, ["x", 1])
 
     def test_dense_path_against_trace_oracle(self):
         rng = np.random.default_rng(31)
@@ -403,6 +421,25 @@ class TestPauliExpectation:
 def haar_state(rng, n):
     amp = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return StateVector(n, amp / np.linalg.norm(amp))
+
+
+class TestAxisTable:
+    """The axis table against the dense-matrix rows it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_same_bits_as_row_extraction(self, n, wishart):
+        rng = np.random.default_rng([53, n])
+        states = [
+            DensityMatrix(n, wishart(rng, n)),
+            NoisyPureState(haar_state(rng, n), float(rng.uniform())),
+        ]
+        strings = ["".join(p) for p in itertools.product("xyz", repeat=n)]
+        mixed = ["".join(rng.choice([c, c.upper()]) for c in s) for s in strings]
+        for rho in states:
+            assert planar_expectations(rho).tobytes() == row_extraction_planar(rho).tobytes()
+            for axes in strings + [s.upper() for s in strings] + mixed:
+                got = pauli_expectation(rho, axes)
+                assert got.hex() == row_extraction_expectation(rho, axes).hex(), axes
 
 
 class TestNoisyPureState:

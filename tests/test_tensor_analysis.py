@@ -440,8 +440,8 @@ class TestSumOfSquares:
         rng = np.random.default_rng([47, n])
         for _ in range(5):
             a, b = random_tensor(rng, n), random_tensor(rng, n)
-            assert sum_of_squares(a) == math.fsum(float(v) * float(v) for v in a.flat)
-            dot = math.fsum(float(x) * float(y) for x, y in zip(a.flat, b.flat))
+            assert sum_of_squares(a) == math.fsum(float(v) * float(v) for v in a.values.ravel())
+            dot = math.fsum(float(x) * float(y) for x, y in zip(a.values.ravel(), b.values.ravel()))
             assert analytic_inner_product(a, b) == math.pi**n * dot
 
     def test_n2_diagonal(self):
