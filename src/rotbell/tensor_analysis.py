@@ -10,9 +10,10 @@ multistart (seeded random starts plus axis-aligned ones) guards against
 local maxima.  A closed-form Fourier bound caps the maximum from above;
 where it meets the value found, the value is proven to be the maximum.
 
-All S starts ascend together as one (S, N, 2) batch, contracting party by
-party in O(2^N) per start per sweep.  Each stops at its own convergence, all
-stop once one meets the Fourier bound, and among equal values the first wins.
+The bound comes first; where the largest-magnitude entry meets it, no other
+start is drawn.  Else all S starts ascend as one (S, N, 2) batch in O(2^N) per
+start per sweep: each stops at its own convergence, all once one meets the
+bound, and ties go to the first.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ class TMaxResult:
     <= CERTIFY_RTOL * upper``: then ``value`` is proven to be T_max and
     ``converged`` holds, else that flag means the winning start converged.
     ``iterations`` sums the sweeps run: none if a start met the bound at once.
-    Ties go to the first start; when the corner start meets the bound, it
-    wins before the others are evaluated, which differs only where another
-    start begins within CERTIFY_RTOL / 2 above it.
+    Ties go to the first start.  When the corner start meets the bound, it
+    wins and no other start is drawn, which differs from the whole batch only
+    where another start begins within CERTIFY_RTOL / 2 above it.
     """
 
     value: float
@@ -132,30 +133,28 @@ def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, target: flo
     return ds, value, sweeps, converged
 
 
+def _corner(values: np.ndarray) -> np.ndarray:
+    """Directions at the largest-magnitude entry, sign-corrected to contract to max |T_i|."""
+    flat = values.reshape(-1, order="F")
+    flat_key = int(np.argmax(np.abs(flat)))
+    bits = (flat_key >> np.arange(values.ndim)) & 1
+    corner = np.where(bits[:, None] == 1, [0.0, 1.0], [1.0, 0.0])
+    if flat[flat_key] < 0.0:
+        corner[0] = -corner[0]
+    return corner
+
+
 def _start_points(values: np.ndarray, config: OptimizerConfig) -> np.ndarray:
     """All starting directions as one (S, N, 2) array, in tie-break order."""
     n = values.ndim
     e1, e2 = np.eye(2)
-
-    # Corner of the largest-magnitude entry, sign-corrected so its initial
-    # objective is |T_i*|; monotone ascent then keeps value >= max |T_i|.
-    flat = values.reshape(-1, order="F")
-    flat_key = int(np.argmax(np.abs(flat)))
-    bits = (flat_key >> np.arange(n)) & 1
-    corner = np.where(bits[:, None] == 1, e2, e1)
-    if flat[flat_key] < 0.0:
-        corner[0] = -corner[0]
-
     # 2N axis-aligned starts: all-x with party j on y, all-y with party j on x.
     on_j = np.eye(n, dtype=bool)[:, :, None]
     axis = np.stack([np.where(on_j, e2, e1), np.where(on_j, e1, e2)], axis=1)
 
-    # an (S, N) float64 array over intp.max bytes raises ValueError, not MemoryError
-    if config.random_starts > np.iinfo(np.intp).max // (8 * n):
-        raise DomainError(f"random_starts={config.random_starts} is more than numpy can address")
     angles = np.random.default_rng(config.seed).uniform(0, _TWO_PI, (config.random_starts, n))
     seeded = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    return np.concatenate([corner[None], axis.reshape(2 * n, n, 2), seeded])
+    return np.concatenate([_corner(values)[None], axis.reshape(2 * n, n, 2), seeded])
 
 
 def _fourier_bound(values: np.ndarray) -> float:
@@ -169,23 +168,30 @@ def _fourier_bound(values: np.ndarray) -> float:
 def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> TMaxResult:
     """Largest correlation-function value over all planar product settings.
 
-    All starts ascend together as one batch, each stopping at its own
-    convergence and all once one is within CERTIFY_RTOL / 2 of the Fourier
-    bound ``upper`` (raised to ``value`` where rounding puts it below);
-    ``iterations`` sums the sweeps run and ``starts_used`` counts the starts.
-    Deterministic for a fixed config: a tie goes to the first start in
-    order (corner, axis-aligned, random).  Memory is O(S * 2^N) for S starts.
+    The Fourier bound ``upper`` (raised to ``value`` where rounding puts it
+    below) comes first.  Where the largest-magnitude entry is within
+    CERTIFY_RTOL / 2 of it, that corner is the result: no other start is drawn,
+    no batch runs, and memory is O(2^N).  Otherwise all S starts ascend as one
+    batch in O(S * 2^N) memory and stop as the module docstring says.
+    ``starts_used`` counts the starts, drawn or not; deterministically, a tie
+    goes to the first (corner, axis-aligned, random).
     """
     cfg = config or OptimizerConfig()
     values = np.asarray(tensor.values)
+    n = values.ndim
     bound = _fourier_bound(values)
-    starts = _start_points(values, cfg)
     target = bound * (1 - CERTIFY_RTOL / 2)
-    # the corner start's value is |T_i*|: where that meets the bound, it alone ascends
-    batch = starts[:1] if np.abs(values).max() >= target else starts
-    ds, found, sweeps, converged = _ascend(values, batch, cfg.max_sweeps, target)
-    best = int(np.argmax(found))
-    maximizer = ds[best] / np.linalg.norm(ds[best], axis=1)[:, None]
+    # an (S, N) float64 array over intp.max bytes raises ValueError, not MemoryError
+    if cfg.random_starts > np.iinfo(np.intp).max // (8 * n):
+        raise DomainError(f"random_starts={cfg.random_starts} is more than numpy can address")
+    np.empty((cfg.random_starts, n))  # MemoryError where the random draw cannot be allocated
+    if np.abs(values).max() >= target:  # the corner's value |T_i*| meets the bound
+        maximizer, iterations, converged = _corner(values), 0, False
+    else:
+        ds, vals, sweeps, conv = _ascend(values, _start_points(values, cfg), cfg.max_sweeps, target)
+        best = int(np.argmax(vals))
+        maximizer = ds[best] / np.linalg.norm(ds[best], axis=1)[:, None]
+        iterations, converged = int(sweeps.sum()), bool(conv[best])
     value = float(product_contraction(values, maximizer))
     upper = max(bound, value)
     certified = upper - value <= CERTIFY_RTOL * upper
@@ -193,9 +199,9 @@ def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> T
         value=value,
         upper=upper,
         maximizer=maximizer,
-        iterations=int(sweeps.sum()),
-        starts_used=len(starts),
-        converged=bool(converged[best]) or certified,
+        iterations=iterations,
+        starts_used=1 + 2 * n + cfg.random_starts,
+        converged=converged or certified,
         certified=certified,
     )
 

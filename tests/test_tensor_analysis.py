@@ -1,5 +1,6 @@
 """Tests for the planar maximizer and tensor inner products."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from rotbell import (
     DomainError,
     OptimizerConfig,
     ShapeError,
+    TMaxResult,
     analytic_inner_product,
     correlation_function,
     ghz_planar_tensor,
@@ -20,6 +22,7 @@ from rotbell import (
     t_max,
     tensor_from_state,
 )
+from rotbell import tensor_analysis
 from rotbell.correlation import product_contraction
 from rotbell.tensor_analysis import (
     _IMPROVEMENT_TOL,
@@ -390,6 +393,92 @@ class TestCertificateStop:
             assert result.value == value
             np.testing.assert_array_equal(result.maximizer, maximizer)
             assert result.iterations == sweeps
+
+
+def whole_batch(tensor, cfg):
+    """t_max as it runs with every start drawn and the whole batch ascended
+    under the Fourier stop: the reference the corner path must reproduce."""
+    values = tensor.values
+    bound = _fourier_bound(values)
+    starts = _start_points(values, cfg)
+    target = bound * (1 - CERTIFY_RTOL / 2)
+    ds, found, sweeps, converged = _ascend(values, starts, cfg.max_sweeps, target)
+    best = int(np.argmax(found))
+    maximizer = ds[best] / np.linalg.norm(ds[best], axis=1)[:, None]
+    value = float(product_contraction(values, maximizer))
+    upper = max(bound, value)
+    certified = upper - value <= CERTIFY_RTOL * upper
+    return TMaxResult(
+        value=value,
+        upper=upper,
+        maximizer=maximizer,
+        iterations=int(sweeps.sum()),
+        starts_used=len(starts),
+        converged=bool(converged[best]) or certified,
+        certified=certified,
+    )
+
+
+def assert_same_result(got, want):
+    for field in dataclasses.fields(TMaxResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "maximizer":
+            assert np.array_equal(a, b)
+        else:
+            assert a == b and type(a) is type(b), field.name
+
+
+def forbid_search(monkeypatch):
+    """Make drawing a start or running the ascent fail the test."""
+
+    def searched(*args, **kwargs):
+        raise AssertionError("the corner path drew a start or ran the ascent")
+
+    monkeypatch.setattr(tensor_analysis, "_ascend", searched)
+    monkeypatch.setattr(tensor_analysis, "_start_points", searched)
+    monkeypatch.setattr(np.random, "default_rng", searched)
+
+
+CORNER_TENSORS = (
+    [("ghz", n, v) for n in range(1, 15) for v in (0.0, 1e-300, 0.34, 1.0)]
+    + [("single entry", n, None) for n in range(1, 9)]
+    + [("zero", n, None) for n in range(1, 6)]
+)
+
+
+class TestCornerPath:
+    @pytest.mark.parametrize("kind, n, v", CORNER_TENSORS)
+    def test_searches_nothing(self, monkeypatch, kind, n, v):
+        tensor = {
+            "ghz": lambda: ghz_planar_tensor(n, v),
+            "single entry": lambda: single_entry_tensor(np.random.default_rng([61, n]), n),
+            "zero": lambda: CorrelationTensor(n, np.zeros((2,) * n)),
+        }[kind]()
+        cfg = OptimizerConfig()
+        want = whole_batch(tensor, cfg)
+        assert want.iterations == 0 and want.certified
+        forbid_search(monkeypatch)
+        assert_same_result(t_max(tensor, cfg), want)
+
+    def test_unallocatable_draw_still_raises(self, monkeypatch):
+        forbid_search(monkeypatch)
+        with pytest.raises(MemoryError):
+            t_max(ghz_planar_tensor(4, 0.5), OptimizerConfig(random_starts=10**15))
+
+    @pytest.mark.parametrize("eps, corner", [(1e-15, True), (1e-9, False)])
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_boundary_at_target(self, n, eps, corner):
+        # GHZ vanishes where an odd number of parties sit on y; eps there
+        # raises the bound past the corner's 0.5 only when it is large enough
+        values = ghz_planar_tensor(n, 0.5).values.copy()
+        values[(1,) + (0,) * (n - 1)] = eps
+        tensor = CorrelationTensor(n, values)
+        target = _fourier_bound(values) * (1 - CERTIFY_RTOL / 2)
+        assert (0.5 >= target) == corner
+        cfg = OptimizerConfig()
+        result = t_max(tensor, cfg)
+        assert (result.iterations == 0) == corner
+        assert_same_result(result, whole_batch(tensor, cfg))
 
 
 class TestFourierBound:
