@@ -43,9 +43,7 @@ class CorrelationTensor:
         _check_party_count(self.n_parties)
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (2,) * self.n_parties:
-            raise ShapeError(
-                f"expected shape {(2,) * self.n_parties}, got {vals.shape}"
-            )
+            raise ShapeError(f"expected shape {(2,) * self.n_parties}, got {vals.shape}")
         peak = float(np.max(np.abs(vals))) if vals.size else 0.0
         if not peak <= _ENTRY_BOUND:  # NaN fails too
             raise DomainError(f"tensor entry magnitude {peak} exceeds 1 or is not finite")
@@ -176,8 +174,6 @@ def rotate_frames(tensor: CorrelationTensor, deltas: Sequence[float]) -> Correla
     reproduces the original correlation values at angles a_j.
     """
     if len(deltas) != tensor.n_parties:
-        raise ShapeError(
-            f"{len(deltas)} rotation angles for a {tensor.n_parties}-party tensor"
-        )
+        raise ShapeError(f"{len(deltas)} rotation angles for a {tensor.n_parties}-party tensor")
     rows = [[[math.cos(d), math.sin(d)], [-math.sin(d), math.cos(d)]] for d in deltas]
     return CorrelationTensor(tensor.n_parties, contract(tensor.values, rows))

@@ -77,9 +77,7 @@ class LhvEnsemble:
         if len(strat) == 0:
             raise DomainError("ensemble needs at least one strategy")
         if w.shape != (len(strat),):
-            raise ShapeError(
-                f"{w.shape} weights for {len(strat)} strategies"
-            )
+            raise ShapeError(f"{w.shape} weights for {len(strat)} strategies")
         if len({s.n_parties for s in strat}) != 1:
             raise ShapeError("strategies have differing party counts")
         if np.any(w < 0.0):
@@ -120,8 +118,7 @@ def lr_inner_product(strategy: DeterministicStrategy, tensor: CorrelationTensor)
     """
     if strategy.n_parties != tensor.n_parties:
         raise ShapeError(
-            f"{strategy.n_parties}-party strategy against "
-            f"{tensor.n_parties}-party tensor"
+            f"{strategy.n_parties}-party strategy against {tensor.n_parties}-party tensor"
         )
     overlaps = np.array([project(r) for r in strategy.responses])
     return float(product_contraction(tensor.values, overlaps))
@@ -136,10 +133,9 @@ def ensemble_inner_product(ensemble: LhvEnsemble, tensor: CorrelationTensor) -> 
 
 
 def _saturating_strategy(maximizer: np.ndarray) -> DeterministicStrategy:
-    responses = []
-    for dx, dy in maximizer:
-        responses.append(saturating_response(math.atan2(dy, dx) % _TWO_PI))
-    return DeterministicStrategy(responses)
+    return DeterministicStrategy(
+        saturating_response(math.atan2(dy, dx) % _TWO_PI) for dx, dy in maximizer
+    )
 
 
 def optimal_strategy(
@@ -291,8 +287,7 @@ def verify_bound(
     if include_optimal:
         value = lr_inner_product(_saturating_strategy(top.maximizer), tensor)
         max_found = max(max_found, value)
-        if value > bound + BOUND_TOLERANCE:
-            violations += 1
+        violations += int(value > bound + BOUND_TOLERANCE)
 
     ratio = max_found / bound if bound != 0.0 else 0.0
     return BoundVerification(

@@ -185,14 +185,15 @@ def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> T
     if cfg.random_starts > np.iinfo(np.intp).max // (8 * n):
         raise DomainError(f"random_starts={cfg.random_starts} is more than numpy can address")
     np.empty((cfg.random_starts, n))  # MemoryError where the random draw cannot be allocated
-    if np.abs(values).max() >= target:  # the corner's value |T_i*| meets the bound
+    value = float(np.abs(values).max())  # the corner's value |T_i*|
+    if value >= target:
         maximizer, iterations, converged = _corner(values), 0, False
     else:
         ds, vals, sweeps, conv = _ascend(values, _start_points(values, cfg), cfg.max_sweeps, target)
         best = int(np.argmax(vals))
         maximizer = ds[best] / np.linalg.norm(ds[best], axis=1)[:, None]
         iterations, converged = int(sweeps.sum()), bool(conv[best])
-    value = float(product_contraction(values, maximizer))
+        value = float(product_contraction(values, maximizer))
     upper = max(bound, value)
     certified = upper - value <= CERTIFY_RTOL * upper
     return TMaxResult(

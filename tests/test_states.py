@@ -247,9 +247,15 @@ def rank_deficient_states(n):
     return [np.diag(np.abs(ghz) ** 2), np.outer(ghz, ghz.conj()), np.outer(amp, amp.conj())]
 
 
+#: One entry of an N=3 state moved on one side only: (where, offset, accepted).
+SKEW_CASES = [((0, 5), 2e-12, False), ((6, 1), 2e-12j, False), ((2, 2), 2e-12j, False),
+              ((2, 2), 1e-12j, False), ((0, 5), 5e-13, True), ((6, 1), 5e-13j, True)]
+
+
 class TestDensityMatrixValidation:
-    """Positivity is certified by Cholesky of rho + 5e-11 * 1, with eigvalsh
-    deciding whatever that factorization rejects."""
+    """Positivity is proven by the Gershgorin bound where it reaches -1e-10,
+    else by Cholesky of rho + 5e-11 * 1, with eigvalsh deciding whatever
+    that factorization rejects (see TestGershgorinCertificate)."""
 
     @pytest.mark.parametrize("lowest", [-1e-9, -2e-10, -1.01e-10])
     @pytest.mark.parametrize("n", range(1, 7))
@@ -303,11 +309,7 @@ class TestDensityMatrixValidation:
         with pytest.raises(DomainError):
             DensityMatrix(1, mat)
 
-    @pytest.mark.parametrize(
-        "where, offset, accepted",
-        [((0, 5), 2e-12, False), ((6, 1), 2e-12j, False), ((2, 2), 2e-12j, False),
-         ((2, 2), 1e-12j, False), ((0, 5), 5e-13, True), ((6, 1), 5e-13j, True)],
-    )
+    @pytest.mark.parametrize("where, offset, accepted", SKEW_CASES)
     def test_hermiticity_tolerance(self, where, offset, accepted):
         # one entry moved on one side only: |rho - rho^dagger| there is |offset|,
         # or twice its imaginary part on the diagonal, against the 1e-12 tolerance
@@ -334,6 +336,139 @@ class TestDensityMatrixValidation:
         mat[where] = mat[where[::-1]] = bad
         with pytest.raises(DomainError):
             DensityMatrix(2, mat)
+
+
+def gershgorin_bound(mat):
+    """Gershgorin's lower bound on the eigenvalues of the Hermitian part."""
+    h = (mat + mat.conj().T) / 2
+    return float(np.min(h.diagonal().real - (np.abs(h).sum(axis=1) - np.abs(h.diagonal()))))
+
+
+def dephased_ghz(n, v, phase=0.0):
+    """GHZ with its coherence scaled by v and turned by a phase: an X-state."""
+    dim = 2**n
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[0, 0] = mat[-1, -1] = 0.5
+    mat[0, -1] = 0.5 * v * np.exp(1j * phase)
+    mat[-1, 0] = np.conj(mat[0, -1])
+    return mat
+
+
+def corner_block(n, lowest):
+    """[[1/2, c], [c, 1/2]] at the GHZ corners, c = 1/2 - lowest: its lowest
+    eigenvalue and its Gershgorin bound are both ``lowest``."""
+    mat = dephased_ghz(n, 0.0)
+    mat[0, -1] = mat[-1, 0] = 0.5 - lowest
+    return mat
+
+
+def diagonal_states(n):
+    rng = np.random.default_rng([89, n])
+    probabilities = [rng.dirichlet(np.ones(2**n)), np.eye(2**n)[-1]]
+    return [np.diag(p).astype(complex) for p in probabilities]
+
+
+def identity_heavy_mixture(wishart, n):
+    """0.1 of a normalized complex Wishart state, 0.9 of 1/2^N."""
+    return 0.1 * wishart(np.random.default_rng([101, n]), n) + 0.9 * np.eye(2**n) / 2**n
+
+
+def certified_states(n, wishart):
+    states = [dephased_ghz(n, v, phase) for v in (0.0, 0.05, 0.37, 1.0) for phase in (0.0, 2.0)]
+    states += diagonal_states(n)
+    if n in (3, 6):
+        states.append(identity_heavy_mixture(wishart, n))
+    return states
+
+
+def reference_verdict(n, mat):
+    """DensityMatrix's checks as they were before the Gershgorin bound, with
+    positivity decided by Cholesky of rho + 5e-11 * 1 and eigvalsh alone:
+    None where the state is accepted, else the DomainError text."""
+    mat = np.asarray(mat, dtype=complex)
+    if np.abs(mat.conj().T - mat).max() > 1e-12:
+        return "density matrix is not Hermitian"
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > 1e-12:
+        return f"trace {tr} differs from 1"
+    try:
+        np.linalg.cholesky(mat + 5e-11 * np.eye(2**n))
+    except np.linalg.LinAlgError:
+        lowest = float(np.linalg.eigvalsh(mat)[0])
+        if lowest < EIGENVALUE_FLOOR:
+            return f"negative eigenvalue {lowest}"
+    return None
+
+
+def verdict(n, mat):
+    try:
+        DensityMatrix(n, mat)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def forbid_factorization(monkeypatch):
+    def factorized(*args, **kwargs):
+        raise AssertionError("a factorization ran on a state the bound proves positive")
+
+    monkeypatch.setattr(np.linalg, "cholesky", factorized)
+    monkeypatch.setattr(np.linalg, "eigvalsh", factorized)
+
+
+class TestGershgorinCertificate:
+    """The O(4^N) bound min_i Re rho_ii - r_i, with r_i the off-diagonal sums
+    of |rho| over row i and column i averaged, accepts diagonally dominant
+    states with no factorization and leaves the verdicts as they were."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_accepts_diagonally_dominant_states_unfactorized(self, n, wishart, monkeypatch):
+        states = certified_states(n, wishart)
+        for mat in states:
+            assert gershgorin_bound(mat) >= EIGENVALUE_FLOOR
+        forbid_factorization(monkeypatch)
+        for mat in states:
+            rho = DensityMatrix(n, mat)
+            np.testing.assert_array_equal(rho.entries, mat)
+            assert not rho.entries.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_bound_is_sharp_at_the_floor(self, n, monkeypatch):
+        accepted, rejected = corner_block(n, -0.99e-10), corner_block(n, -1.01e-10)
+        for mat, lowest in ((accepted, -0.99e-10), (rejected, -1.01e-10)):
+            assert gershgorin_bound(mat) == pytest.approx(lowest, abs=1e-15)
+            assert np.linalg.eigvalsh(mat)[0] == pytest.approx(lowest, abs=1e-15)
+        factorizations = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            factorizations.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        with pytest.raises(DomainError, match="negative eigenvalue"):
+            DensityMatrix(n, rejected)
+        assert factorizations == [(2**n, 2**n)]
+        forbid_factorization(monkeypatch)
+        np.testing.assert_array_equal(DensityMatrix(n, accepted).entries, accepted)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_same_verdicts_as_factorization_alone(self, n, wishart):
+        rng = np.random.default_rng([103, n])
+        lowest = [-1e-9, -2e-10, -1.01e-10, -0.99e-10, -5e-11, -1e-11, 0.0, 1e-12]
+        states = certified_states(n, wishart) + [corner_block(n, x) for x in lowest]
+        states += [planted_state(rng, n, x) for x in lowest]
+        states += [wishart(rng, n) for _ in range(3)] + rank_deficient_states(n)
+        negative = np.diag(np.append(-0.5, np.full(2**n - 1, 1.5 / (2**n - 1)))).astype(complex)
+        states.append(negative)
+        if n == 3:
+            for where, offset, _ in SKEW_CASES:
+                mat = planted_state(np.random.default_rng(97), 3, 0.01)
+                mat[where] += offset
+                states.append(mat)
+        verdicts = [verdict(n, mat) for mat in states]
+        assert verdicts == [reference_verdict(n, mat) for mat in states]
+        assert None in verdicts and any("negative eigenvalue" in str(v) for v in verdicts)
 
 
 class TestPauliExpectation:

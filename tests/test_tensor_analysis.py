@@ -460,6 +460,32 @@ class TestCornerPath:
         forbid_search(monkeypatch)
         assert_same_result(t_max(tensor, cfg), want)
 
+    @pytest.mark.parametrize("kind, n, v", [("ghz", 8, 0.34), ("single entry", 5, None)])
+    def test_contracts_nothing(self, monkeypatch, kind, n, v):
+        # the value is the |T_i*| the target test reads, bit for bit the contraction's
+        tensor = {
+            "ghz": lambda: ghz_planar_tensor(n, v),
+            "single entry": lambda: single_entry_tensor(np.random.default_rng([67, n]), n),
+        }[kind]()
+        want = whole_batch(tensor, OptimizerConfig())
+        forbid_search(monkeypatch)
+
+        def contracted(*args):
+            raise AssertionError("the corner path contracted the tensor")
+
+        monkeypatch.setattr(tensor_analysis, "product_contraction", contracted)
+        assert_same_result(t_max(tensor), want)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_negative_zero_tensor_gives_positive_zero(self, monkeypatch, n):
+        tensor = CorrelationTensor(n, -np.zeros((2,) * n))
+        assert math.copysign(1.0, tensor.values.flat[0]) == -1.0
+        want = whole_batch(tensor, OptimizerConfig())
+        forbid_search(monkeypatch)
+        got = t_max(tensor)
+        assert_same_result(got, want)
+        assert got.value == 0.0 and math.copysign(1.0, got.value) == 1.0
+
     def test_unallocatable_draw_still_raises(self, monkeypatch):
         forbid_search(monkeypatch)
         with pytest.raises(MemoryError):
