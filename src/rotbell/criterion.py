@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationTensor, ghz_planar_tensor
+from .correlation import CorrelationTensor
 from .errors import DomainError
 from .lhv import _two_setting_holds
-from .states import _check_party_count
-from .tensor_analysis import OptimizerConfig, sum_of_squares, t_max
+from .states import MAX_STATE_PARTIES, _check_party_count
+from .tensor_analysis import OptimizerConfig, _check_start_count, sum_of_squares, t_max
 
 REGION_LOCAL = "LOCAL"
 REGION_PARADOX = "PARADOX"
@@ -125,10 +125,9 @@ def ghz_scan(
 
     ``steps`` is the number of grid points (numpy.linspace semantics:
     both endpoints included for steps >= 2, just v_min for steps = 1).
-    GHZ(N, 1) is built, maximized and summed once per scan: GHZ(N, V) = V *
-    GHZ(N, 1), T_max is positively homogeneous and all 2^(N-1) nonzero entries
-    are +-V, so a point's T_max is V times T_max(GHZ(N, 1)), certified alike,
-    and its sum of squares is V*V * 2^(N-1) exactly.  Rows are in grid order.
+    Rows take the closed form, with no tensor: GHZ(N, V)'s correlation function
+    is V cos(a_1 + ... + a_N), so T_max = V, certified, and sum_sq = V*V * 2^(N-1),
+    as TestGhzScan in tests/test_criterion.py pins.  ``config`` is only validated.
     """
     if not 0.0 <= v_min <= v_max <= 1.0:
         raise DomainError(
@@ -138,11 +137,11 @@ def ghz_scan(
         raise DomainError(f"steps must be >= 1, got {steps}")
     if steps > np.iinfo(np.intp).max // 8:  # past intp.max bytes numpy raises ValueError
         raise DomainError(f"steps={steps} is more than numpy can address")
-    unit = ghz_planar_tensor(n_parties, 1.0)
-    top, unit_sq = t_max(unit, config), sum_of_squares(unit)
+    _check_party_count(n_parties, MAX_STATE_PARTIES)
+    _check_start_count(config or OptimizerConfig(), n_parties)
+    unit_sq = 2.0 ** (n_parties - 1)
     points = []
-    for v in np.linspace(v_min, v_max, steps):
-        v = float(v)
-        report = _report(n_parties, v * v * unit_sq, v * top.value, top.certified)
+    for v in np.linspace(v_min, v_max, steps).tolist():
+        report = _report(n_parties, v * v * unit_sq, v, True)
         points.append(ScanPoint(v, report, classify(report)))
     return points

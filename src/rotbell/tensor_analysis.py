@@ -9,11 +9,6 @@ closed-form and the objective never decreases.  Deterministic
 multistart (seeded random starts plus axis-aligned ones) guards against
 local maxima.  A closed-form Fourier bound caps the maximum from above;
 where it meets the value found, the value is proven to be the maximum.
-
-The bound comes first; where the largest-magnitude entry meets it, no other
-start is drawn.  Else all S starts ascend as one (S, N, 2) batch in O(2^N) per
-start per sweep: each stops at its own convergence, all once one meets the
-bound, and ties go to the first.
 """
 
 from __future__ import annotations
@@ -165,6 +160,14 @@ def _fourier_bound(values: np.ndarray) -> float:
     return float(np.abs(contract(values, [_FOURIER_ROWS] * values.ndim)).sum())
 
 
+def _check_start_count(config: OptimizerConfig, n: int) -> None:
+    """Raise where the (random_starts, n) float64 start-angle draw cannot be allocated:
+    DomainError past intp.max bytes (numpy raises ValueError there), else MemoryError."""
+    if config.random_starts > np.iinfo(np.intp).max // (8 * n):
+        raise DomainError(f"random_starts={config.random_starts} is more than numpy can address")
+    np.empty((config.random_starts, n))  # MemoryError where the random draw cannot be allocated
+
+
 def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> TMaxResult:
     """Largest correlation-function value over all planar product settings.
 
@@ -172,7 +175,8 @@ def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> T
     below) comes first.  Where the largest-magnitude entry is within
     CERTIFY_RTOL / 2 of it, that corner is the result: no other start is drawn,
     no batch runs, and memory is O(2^N).  Otherwise all S starts ascend as one
-    batch in O(S * 2^N) memory and stop as the module docstring says.
+    (S, N, 2) batch in O(S * 2^N) memory and O(2^N) per start per sweep: each
+    stops at its own convergence, all once one meets the bound.
     ``starts_used`` counts the starts, drawn or not; deterministically, a tie
     goes to the first (corner, axis-aligned, random).
     """
@@ -181,10 +185,7 @@ def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> T
     n = values.ndim
     bound = _fourier_bound(values)
     target = bound * (1 - CERTIFY_RTOL / 2)
-    # an (S, N) float64 array over intp.max bytes raises ValueError, not MemoryError
-    if cfg.random_starts > np.iinfo(np.intp).max // (8 * n):
-        raise DomainError(f"random_starts={cfg.random_starts} is more than numpy can address")
-    np.empty((cfg.random_starts, n))  # MemoryError where the random draw cannot be allocated
+    _check_start_count(cfg, n)
     value = float(np.abs(values).max())  # the corner's value |T_i*|
     if value >= target:
         maximizer, iterations, converged = _corner(values), 0, False

@@ -9,17 +9,22 @@ from rotbell import (
     CorrelationTensor,
     DomainError,
     InvalidSizeError,
+    OptimizerConfig,
     REGION_LOCAL,
     REGION_NONLOCAL,
     REGION_PARADOX,
+    ScanPoint,
     analytic_inner_product,
     classify,
     ghz_planar_tensor,
     ghz_scan,
     ghz_thresholds,
     ri_criterion,
+    sum_of_squares,
+    t_max,
     two_setting_model_exists,
 )
+from rotbell import correlation, criterion, tensor_analysis
 
 
 class TestRiCriterion:
@@ -175,3 +180,107 @@ class TestGhzScan:
         visibilities = [p.visibility for p in points]
         assert visibilities == sorted(visibilities)
         np.testing.assert_allclose(visibilities, np.linspace(0.2, 0.8, 7), atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_unit_ghz_closed_form_is_what_t_max_proves(self, n):
+        # ghz_scan takes T_max(GHZ(N, 1)) = 1, certified, and sum_sq = 2^(N-1)
+        # from the closed form; the Fourier certificate proves the same value
+        unit = ghz_planar_tensor(n, 1.0)
+        top = t_max(unit)
+        assert top.value == 1.0
+        assert top.certified
+        assert sum_of_squares(unit) == 2.0 ** (n - 1)
+
+    def test_scan_runs_no_tensor_optimizer_or_sum(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ghz_scan must take the closed form")
+
+        grids = [(0.0, 1.0, 21), (0.0, 1e-160, 21), (0.0, 5e-324, 21), (0.30, 0.40, 11)]
+        with monkeypatch.context() as patch:
+            for module in (criterion, correlation, tensor_analysis):
+                for name in ("t_max", "sum_of_squares", "ghz_planar_tensor"):
+                    patch.setattr(module, name, refuse, raising=False)
+            scans = {(n, grid): ghz_scan(n, *grid) for n in range(1, 15) for grid in grids}
+        for (n, _), points in scans.items():
+            for point in points:
+                report = ri_criterion(ghz_planar_tensor(n, point.visibility))
+                assert point == ScanPoint(point.visibility, report, classify(report))
+
+    @pytest.mark.parametrize(
+        "args, starts, error, message",
+        [
+            ((0, 0.0, 1.0, 3), None, InvalidSizeError, "n_parties must be >= 1, got 0"),
+            ((-1, 0.0, 1.0, 3), None, InvalidSizeError, "n_parties must be >= 1, got -1"),
+            (
+                (15, 0.0, 1.0, 3),
+                None,
+                InvalidSizeError,
+                "n_parties=15 exceeds the configured cap of 14",
+            ),
+            (
+                (100, 0.0, 1.0, 3),
+                None,
+                InvalidSizeError,
+                "n_parties=100 exceeds the configured cap of 14",
+            ),
+            (
+                (3, 0.5, 0.4, 3),
+                None,
+                DomainError,
+                "need 0 <= v_min <= v_max <= 1, got v_min=0.5, v_max=0.4",
+            ),
+            (
+                (3, 0.0, 1.5, 3),
+                None,
+                DomainError,
+                "need 0 <= v_min <= v_max <= 1, got v_min=0.0, v_max=1.5",
+            ),
+            (
+                (3, -0.1, 0.5, 3),
+                None,
+                DomainError,
+                "need 0 <= v_min <= v_max <= 1, got v_min=-0.1, v_max=0.5",
+            ),
+            ((3, 0.0, 1.0, 0), None, DomainError, "steps must be >= 1, got 0"),
+            (
+                (3, 0.0, 1.0, 2**62),
+                None,
+                DomainError,
+                "steps=4611686018427387904 is more than numpy can address",
+            ),
+            (
+                (4, 0.3, 0.4, 3),
+                5 * 10**18,
+                DomainError,
+                "random_starts=5000000000000000000 is more than numpy can address",
+            ),
+            (
+                (4, 0.3, 0.4, 3),
+                10**15,
+                MemoryError,
+                "Unable to allocate 28.4 PiB for an array with shape "
+                "(1000000000000000, 4) and data type float64",
+            ),
+            # order: range, steps, party count, start count
+            (
+                (0, 0.5, 0.4, 3),
+                None,
+                DomainError,
+                "need 0 <= v_min <= v_max <= 1, got v_min=0.5, v_max=0.4",
+            ),
+            ((0, 0.3, 0.4, 0), 10**15, DomainError, "steps must be >= 1, got 0"),
+            (
+                (15, 0.3, 0.4, 3),
+                10**15,
+                InvalidSizeError,
+                "n_parties=15 exceeds the configured cap of 14",
+            ),
+        ],
+    )
+    def test_errors_match_recorded(self, args, starts, error, message):
+        # types and texts as recorded before the scan took the closed form
+        config = None if starts is None else OptimizerConfig(random_starts=starts)
+        with pytest.raises(error) as excinfo:
+            ghz_scan(*args, config)
+        assert excinfo.type is error or error is MemoryError  # numpy raises a subclass
+        assert str(excinfo.value) == message
