@@ -40,8 +40,6 @@ from .lhv import (
     lr_inner_product,
     optimal_strategy,
     random_ensemble,
-    random_response,
-    random_strategy,
     two_setting_model_exists,
     verify_bound,
 )
@@ -103,8 +101,6 @@ __all__ = [
     "project",
     "quadrature_inner_product",
     "random_ensemble",
-    "random_response",
-    "random_strategy",
     "ri_criterion",
     "rotate_frames",
     "saturating_response",

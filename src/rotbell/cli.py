@@ -113,8 +113,10 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
 
 
 def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="master PRNG seed")
-    sub.add_argument("--starts", type=int, default=64, help="random multistart count")
+    sub.add_argument("--seed", type=int, default=OptimizerConfig.seed, help="master PRNG seed")
+    sub.add_argument(
+        "--starts", type=int, default=OptimizerConfig.random_starts, help="random multistart count"
+    )
     sub.add_argument(
         "--require-certified",
         action="store_true",

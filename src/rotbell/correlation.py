@@ -112,8 +112,8 @@ def product_contraction(values: np.ndarray, directions: np.ndarray) -> np.ndarra
 def tensor_from_state(rho: MixedState) -> CorrelationTensor:
     """Measure all 2^N planar full-correlation values of a state.
 
-    A white-noise mixture kept as (psi, V) is gathered from its amplitudes,
-    without a dense matrix, up to MAX_STATE_PARTIES parties.
+    A pure state, or a white-noise mixture kept as (psi, V), is gathered from
+    its 2^N amplitudes, without a dense matrix.
     """
     return CorrelationTensor(rho.n_parties, planar_expectations(rho))
 

@@ -9,8 +9,8 @@ component.  The constructions here evaluate that inner product in closed
 form, build the strategy that attains the cap, and stress-test the bound
 with random ensembles.  The stress test draws its ensembles as arrays
 (one row per strategy, an owner index per row) and scores a whole block
-of them with one overlap kernel and one contraction; the random-object
-constructors are views of the same sampler.
+of them with one overlap kernel and one contraction; ``random_ensemble``
+is an object view of the same sampler.
 """
 
 from __future__ import annotations
@@ -226,17 +226,6 @@ def _ensemble_view(draw: _TrialDraw, trial: int) -> LhvEnsemble:
     rows = np.flatnonzero(draw.owner == trial)
     strategies = [_strategy_view(draw.points[r], draw.flips[r], draw.signs[r]) for r in rows]
     return LhvEnsemble(strategies, draw.weights[rows])
-
-
-def random_response(rng: np.random.Generator, max_flips: int = _MAX_FLIPS) -> ResponseFunction:
-    """Sample a response: flip count uniform over {0, 2, ..., max_flips},
-    flip positions uniform, leading sign uniform."""
-    points, flips, signs = _draw_responses(rng, (1,), max_flips)
-    return ResponseFunction(points[0, : flips[0]], signs[0])
-
-
-def random_strategy(rng: np.random.Generator, n_parties: int) -> DeterministicStrategy:
-    return _strategy_view(*_draw_responses(rng, (n_parties,)))
 
 
 def random_ensemble(

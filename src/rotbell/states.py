@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, InvalidSizeError, ShapeError
 
-# Memory caps: a state vector, and a white-noise mixture kept as one, has
-# 2^N amplitudes; a dense density matrix 4^N entries.
+# Memory cap: a state vector, and a white-noise mixture kept as one, has
+# 2^N amplitudes.
 MAX_STATE_PARTIES = 14
-MAX_DENSE_PARTIES = 10
 
 _TOL = 1e-12  # roundoff on the norm, Hermiticity, trace and unit sums
 _EIGENVALUE_FLOOR = -1e-10
@@ -66,6 +64,11 @@ class StateVector:
         amp = amp.copy()
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
+
+    def gather(self, mask: int) -> np.ndarray:
+        """The 2^N entries psi[b] psi[b xor mask]^* of |psi><psi|, b = 0 .. 2^N - 1."""
+        amp = self.amplitudes
+        return amp * amp[np.arange(amp.size) ^ mask].conj()
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +140,7 @@ class NoisyPureState:
 
     A convex mix of a validated pure state with 1/2^N is positive
     semidefinite, so no eigenvalue check is needed.  :meth:`gather` needs
-    no dense matrix; ``entries`` is built on first read, up to
-    MAX_DENSE_PARTIES parties.
+    no dense matrix.
     """
 
     state: StateVector
@@ -154,25 +156,15 @@ class NoisyPureState:
 
     def gather(self, mask: int) -> np.ndarray:
         """rho[b, b xor mask] for every b: the dense matrix's arithmetic, without the matrix."""
-        amp, v = self.state.amplitudes, self.visibility
-        out = v * (amp * amp[np.arange(amp.size) ^ mask].conj())
+        v = self.visibility
+        out = v * self.state.gather(mask)
         if mask == 0:
-            out += (1.0 - v) / amp.size
+            out += (1.0 - v) / out.size
         return out
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """Dense read-only matrix; InvalidSizeError above MAX_DENSE_PARTIES parties."""
-        _check_party_count(self.n_parties, MAX_DENSE_PARTIES)
-        amp, v = self.state.amplitudes, self.visibility
-        mat = v * np.outer(amp, amp.conj())
-        mat += (1.0 - v) / amp.size * np.eye(amp.size)
-        mat.setflags(write=False)
-        return mat
 
 
 #: Any state whose Pauli expectations are gathered and contracted.
-MixedState = Union[DensityMatrix, NoisyPureState]
+MixedState = Union[StateVector, DensityMatrix, NoisyPureState]
 
 
 def build_ghz(n_parties: int) -> StateVector:

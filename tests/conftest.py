@@ -14,6 +14,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def dense(noisy):
+    """The dense matrix V|psi><psi| + (1-V) 1/2^N of a NoisyPureState."""
+    amp, v = noisy.state.amplitudes, noisy.visibility
+    return v * np.outer(amp, amp.conj()) + (1.0 - v) / amp.size * np.eye(amp.size)
+
+
 @pytest.fixture
 def wishart():
     """Factory for dense random density matrices: G G^dagger / tr, G complex Gaussian."""

@@ -56,8 +56,6 @@ PUBLIC = [
     "project",
     "quadrature_inner_product",
     "random_ensemble",
-    "random_response",
-    "random_strategy",
     "ri_criterion",
     "rotate_frames",
     "saturating_response",
@@ -91,7 +89,10 @@ class TestAll:
         missing = [name for name in rotbell.__all__ if not hasattr(rotbell, name)]
         assert missing == []
 
-    @pytest.mark.parametrize("name", ["AngleSettings", "FourierProjection", "PauliAxis"])
+    @pytest.mark.parametrize(
+        "name",
+        ["AngleSettings", "FourierProjection", "PauliAxis", "random_response", "random_strategy"],
+    )
     def test_removed_names_absent(self, name):
         assert name not in rotbell.__all__
         assert not hasattr(rotbell, name)

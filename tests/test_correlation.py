@@ -23,6 +23,8 @@ from rotbell import (
 )
 from rotbell.correlation import product_contraction
 
+from conftest import dense
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PLANAR_ORACLE = {1: SX, 2: SY}
@@ -56,7 +58,7 @@ class TestTensorFromState:
     def test_ghz2_pure(self):
         rho = mix_with_white_noise(build_ghz(2), 1.0)
         tensor = tensor_from_state(rho)
-        expected = oracle_tensor(rho.entries, 2)
+        expected = oracle_tensor(dense(rho), 2)
         for idx, value in expected.items():
             assert tensor.entry(idx) == pytest.approx(value, abs=1e-12)
         assert tensor.entry((1, 1)) == pytest.approx(1.0, abs=1e-10)
@@ -73,7 +75,7 @@ class TestTensorFromState:
     def test_ghz3_pure_against_trace_oracle(self):
         rho = mix_with_white_noise(build_ghz(3), 1.0)
         tensor = tensor_from_state(rho)
-        expected = oracle_tensor(rho.entries, 3)
+        expected = oracle_tensor(dense(rho), 3)
         for idx, value in expected.items():
             assert tensor.entry(idx) == pytest.approx(value, abs=1e-12)
         assert tensor.entry((1, 1, 1)) == pytest.approx(1.0, abs=1e-10)

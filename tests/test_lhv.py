@@ -20,8 +20,6 @@ from rotbell import (
     lr_inner_product,
     optimal_strategy,
     random_ensemble,
-    random_response,
-    random_strategy,
     saturating_response,
     sum_of_squares,
     t_max,
@@ -29,7 +27,13 @@ from rotbell import (
     verify_bound,
 )
 from rotbell.functional_space import sign_overlaps
-from rotbell.lhv import _draw_responses, _draw_trials, _ensemble_view, _trial_values
+from rotbell.lhv import (
+    _draw_responses,
+    _draw_trials,
+    _ensemble_view,
+    _strategy_view,
+    _trial_values,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -50,6 +54,11 @@ def quad_lr_oracle(strategy, tensor):
             term *= overlaps[j][i - 1]
         total += term
     return total
+
+
+def random_strategy(rng, n):
+    """A strategy of n random responses, drawn as ``_draw_responses`` rows."""
+    return _strategy_view(*_draw_responses(rng, (n,)))
 
 
 def random_tensor(rng, n):
@@ -294,7 +303,8 @@ class TestBatchedSampler:
     def test_object_views_are_valid(self):
         rng = np.random.default_rng(16)
         for max_flips in (0, 2, 7, 8):
-            assert len(random_response(rng, max_flips).breakpoints) <= max_flips
+            _, flips, _ = _draw_responses(rng, (64,), max_flips)
+            assert np.all(flips % 2 == 0) and np.all(flips <= max_flips)
         assert random_strategy(rng, 5).n_parties == 5
         ensemble = random_ensemble(rng, 4, max_strategies=2)
         assert ensemble.n_parties == 4 and len(ensemble.strategies) <= 2

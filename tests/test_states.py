@@ -22,6 +22,8 @@ from rotbell import (
 )
 from rotbell.states import contract, planar_expectations
 
+from conftest import dense
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -173,17 +175,17 @@ class TestMixWithWhiteNoise:
         state = build_ghz(2)
         rho = mix_with_white_noise(state, 1.0)
         expected = np.outer(state.amplitudes, state.amplitudes.conj())
-        np.testing.assert_allclose(rho.entries, expected, atol=1e-15)
+        np.testing.assert_allclose(dense(rho), expected, atol=1e-15)
 
     def test_zero_visibility_is_maximally_mixed(self):
         rho = mix_with_white_noise(build_ghz(3), 0.0)
-        np.testing.assert_allclose(rho.entries, np.eye(8) / 8, atol=1e-15)
+        np.testing.assert_allclose(dense(rho), np.eye(8) / 8, atol=1e-15)
 
     def test_half_visibility_diagonal(self):
         # direct matrix arithmetic: 0.5*(1/2,0,0,1/2) + 0.5*(1/4)*ones
         rho = mix_with_white_noise(build_ghz(2), 0.5)
         np.testing.assert_allclose(
-            np.real(np.diag(rho.entries)), [0.375, 0.125, 0.125, 0.375], atol=1e-15
+            np.real(np.diag(dense(rho))), [0.375, 0.125, 0.125, 0.375], atol=1e-15
         )
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0, float("nan")])
@@ -194,22 +196,12 @@ class TestMixWithWhiteNoise:
             NoisyPureState(build_ghz(2), bad)
 
     def test_dense_matrix_cap(self):
-        # mixtures are kept as (psi, V) up to 14 parties; dense entries only to 10
-        rho = mix_with_white_noise(build_ghz(11), 0.5)
-        assert rho.n_parties == 11
-        with pytest.raises(InvalidSizeError):
-            rho.entries
+        # mixtures are kept as (psi, V) up to 14 parties
         amp = np.zeros(2**15)
         amp[0] = 1.0
         big = StateVector(15, amp)
         with pytest.raises(InvalidSizeError):
             mix_with_white_noise(big, 0.5)
-
-    def test_entries_built_once_and_read_only(self):
-        rho = mix_with_white_noise(build_ghz(3), 0.5)
-        assert rho.entries is rho.entries
-        with pytest.raises(ValueError):
-            rho.entries[0, 0] = 0.0
 
     def test_invariants_for_random_visibility(self):
         rng = np.random.default_rng(11)
@@ -217,7 +209,7 @@ class TestMixWithWhiteNoise:
             state = build_ghz(n)
             for v in rng.uniform(0, 1, 5):
                 rho = mix_with_white_noise(state, float(v))
-                mat = rho.entries
+                mat = dense(rho)
                 assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
                 assert abs(np.trace(mat) - 1.0) <= 1e-12
                 assert np.linalg.eigvalsh(mat)[0] >= -1e-10
@@ -475,7 +467,7 @@ class TestPauliExpectation:
     def test_ghz2_xx_and_yy(self):
         rho = mix_with_white_noise(build_ghz(2), 1.0)
         assert pauli_expectation(rho, "xx") == pytest.approx(
-            trace_oracle(rho.entries, "xx"), abs=1e-12
+            trace_oracle(dense(rho), "xx"), abs=1e-12
         )
         assert pauli_expectation(rho, "xx") == pytest.approx(1.0, abs=1e-10)
         assert pauli_expectation(rho, "yy") == pytest.approx(-1.0, abs=1e-10)
@@ -502,11 +494,11 @@ class TestPauliExpectation:
         rng = np.random.default_rng(17)
         for n in (1, 2, 3, 4):
             mixed = mix_with_white_noise(build_ghz(n), 0.8)
-            dense = DensityMatrix(n, mixed.entries)
+            rho = DensityMatrix(n, dense(mixed))
             for _ in range(5):
                 axes = rng.choice(list("xyz"), size=n)
                 assert pauli_expectation(mixed, axes) == pytest.approx(
-                    pauli_expectation(dense, axes), abs=1e-12
+                    pauli_expectation(rho, axes), abs=1e-12
                 )
 
     def test_magnitude_bounded_by_one(self):
@@ -534,7 +526,7 @@ class TestPauliExpectation:
     def test_dense_path_against_trace_oracle(self):
         rng = np.random.default_rng(31)
         for n in (1, 2, 3):
-            rho = DensityMatrix(n, mix_with_white_noise(build_ghz(n), 0.6).entries)
+            rho = DensityMatrix(n, dense(mix_with_white_noise(build_ghz(n), 0.6)))
             for _ in range(8):
                 axes = "".join(rng.choice(list("xyz"), size=n))
                 assert pauli_expectation(rho, axes) == pytest.approx(
@@ -585,12 +577,21 @@ class TestNoisyPureState:
         rng = np.random.default_rng(100 + n)
         for state in (build_ghz(n), haar_state(rng, n)):
             noisy = mix_with_white_noise(state, float(rng.uniform(0.05, 0.95)))
-            dense = DensityMatrix(n, noisy.entries)
-            assert np.array_equal(tensor_from_state(noisy).values, tensor_from_state(dense).values)
+            rho = DensityMatrix(n, dense(noisy))
+            assert np.array_equal(tensor_from_state(noisy).values, tensor_from_state(rho).values)
             strings = ["z" * n, "x" * n, "y" * n]
             strings += ["".join(rng.choice(list("xyz"), size=n)) for _ in range(4)]
             for axes in strings:
-                assert pauli_expectation(noisy, axes) == pauli_expectation(dense, axes), axes
+                assert pauli_expectation(noisy, axes) == pauli_expectation(rho, axes), axes
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pure_state_equals_full_visibility(self, n):
+        # a StateVector is measured as the V = 1 mixture of itself, bit for bit
+        state = haar_state(np.random.default_rng(200 + n), n)
+        noisy = mix_with_white_noise(state, 1.0)
+        assert np.array_equal(tensor_from_state(state).values, tensor_from_state(noisy).values)
+        for axes in itertools.product("xyz", repeat=n):
+            assert pauli_expectation(state, axes) == pauli_expectation(noisy, axes), axes
 
     @pytest.mark.parametrize("v", [0.0, 0.3, 1.0])
     def test_ghz14_tensor_matches_closed_form(self, v):
@@ -611,7 +612,7 @@ class TestNoisyPureState:
         rho = mix_with_white_noise(build_ghz(3), 0.25)
         ket = np.arange(8)
         for mask in range(8):
-            assert np.array_equal(rho.gather(mask), rho.entries[ket, ket ^ mask]), mask
+            assert np.array_equal(rho.gather(mask), dense(rho)[ket, ket ^ mask]), mask
 
     def test_memory_is_linear_in_amplitudes(self):
         # a dense 14-party matrix would be 4 GiB; 2^14 complex amplitudes are 256 KiB
