@@ -35,7 +35,6 @@ from .lhv import (
     BOUND_TOLERANCE,
     BoundVerification,
     DeterministicStrategy,
-    LhvEnsemble,
     ensemble_inner_product,
     lr_inner_product,
     optimal_strategy,
@@ -72,7 +71,6 @@ __all__ = [
     "DomainError",
     "GhzThresholds",
     "InvalidSizeError",
-    "LhvEnsemble",
     "NoisyPureState",
     "OptimizerConfig",
     "PROJECTION_NORM_BOUND",

@@ -7,10 +7,10 @@ collapses, party by party, to the tensor contracted with the per-party
 cos/sin overlaps, which caps it at 4^N times the maximal tensor
 component.  The constructions here evaluate that inner product in closed
 form, build the strategy that attains the cap, and stress-test the bound
-with random ensembles.  The stress test draws its ensembles as arrays
-(one row per strategy, an owner index per row) and scores a whole block
-of them with one overlap kernel and one contraction; ``random_ensemble``
-is an object view of the same sampler.
+with random ensembles.  Ensembles are arrays (one row per strategy, an
+owner index per row): the stress test scores a block of them with one
+overlap kernel and one contraction, and ``random_ensemble`` and
+``ensemble_inner_product`` draw and score a block of one.
 """
 
 from __future__ import annotations
@@ -64,36 +64,6 @@ class DeterministicStrategy:
         return len(self.responses)
 
 
-@dataclass(frozen=True, eq=False)
-class LhvEnsemble:
-    """Probability-weighted mixture of deterministic strategies."""
-
-    strategies: tuple[DeterministicStrategy, ...]
-    weights: np.ndarray
-
-    def __init__(self, strategies, weights):
-        strat = tuple(strategies)
-        w = np.asarray(weights, dtype=float)
-        if len(strat) == 0:
-            raise DomainError("ensemble needs at least one strategy")
-        if w.shape != (len(strat),):
-            raise ShapeError(f"{w.shape} weights for {len(strat)} strategies")
-        if len({s.n_parties for s in strat}) != 1:
-            raise ShapeError("strategies have differing party counts")
-        if np.any(w < 0.0):
-            raise DomainError("weights must be nonnegative")
-        if abs(float(np.sum(w)) - 1.0) > _TOL:
-            raise DomainError(f"weights sum to {float(np.sum(w))}, expected 1")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "strategies", strat)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n_parties(self) -> int:
-        return self.strategies[0].n_parties
-
-
 @dataclass(frozen=True)
 class BoundVerification:
     """Result of stress-testing the generalized Bell bound."""
@@ -122,14 +92,6 @@ def lr_inner_product(strategy: DeterministicStrategy, tensor: CorrelationTensor)
         )
     overlaps = np.array([project(r) for r in strategy.responses])
     return float(product_contraction(tensor.values, overlaps))
-
-
-def ensemble_inner_product(ensemble: LhvEnsemble, tensor: CorrelationTensor) -> float:
-    """Weighted average of the strategy inner products."""
-    return math.fsum(
-        float(w) * lr_inner_product(s, tensor)
-        for s, w in zip(ensemble.strategies, ensemble.weights)
-    )
 
 
 def _saturating_strategy(maximizer: np.ndarray) -> DeterministicStrategy:
@@ -163,7 +125,11 @@ def two_setting_model_exists(tensor: CorrelationTensor) -> bool:
 
 
 class _TrialDraw(NamedTuple):
-    """Random ensembles as arrays: strategy row s belongs to trial owner[s]."""
+    """Random ensembles as arrays: strategy row s belongs to trial owner[s].
+
+    Row s, party j is the response with leading sign signs[s, j] and
+    breakpoints points[s, j, :flips[s, j]].
+    """
 
     owner: np.ndarray  # (S,)
     points: np.ndarray  # (S, N, _MAX_FLIPS) sorted breakpoints, padded
@@ -215,25 +181,19 @@ def _trial_values(draw: _TrialDraw, values: np.ndarray) -> np.ndarray:
     return np.bincount(draw.owner, rows)
 
 
-def _strategy_view(points, flips, signs) -> DeterministicStrategy:
-    return DeterministicStrategy(
-        ResponseFunction(p[:f], s) for p, f, s in zip(points, flips, signs)
-    )
-
-
-def _ensemble_view(draw: _TrialDraw, trial: int) -> LhvEnsemble:
-    """The ensemble object that trial ``trial`` of ``draw`` describes."""
-    rows = np.flatnonzero(draw.owner == trial)
-    strategies = [_strategy_view(draw.points[r], draw.flips[r], draw.signs[r]) for r in rows]
-    return LhvEnsemble(strategies, draw.weights[rows])
-
-
 def random_ensemble(
     rng: np.random.Generator, n_parties: int, max_strategies: int = _MAX_STRATEGIES
-) -> LhvEnsemble:
-    """Sample an ensemble: strategy count uniform in 1..max_strategies,
-    weights uniform on the simplex."""
-    return _ensemble_view(_draw_trials(rng, 1, n_parties, max_strategies), 0)
+) -> _TrialDraw:
+    """Sample one ensemble as a one-trial draw of ``verify_bound``'s sampler."""
+    return _draw_trials(rng, 1, n_parties, max_strategies)
+
+
+def ensemble_inner_product(ensemble: _TrialDraw, tensor: CorrelationTensor) -> float:
+    """Weighted inner product with E_T of the ensemble that trial 0 of a draw holds."""
+    n = ensemble.points.shape[1]
+    if n != tensor.n_parties:
+        raise ShapeError(f"{n}-party ensemble against {tensor.n_parties}-party tensor")
+    return float(_trial_values(ensemble, tensor.values)[0])
 
 
 def verify_bound(

@@ -3,6 +3,8 @@ import sys
 import numpy as np
 import pytest
 
+from rotbell import DeterministicStrategy, ResponseFunction
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance-criteria PASS/FAIL lines after the run."""
@@ -18,6 +20,22 @@ def dense(noisy):
     """The dense matrix V|psi><psi| + (1-V) 1/2^N of a NoisyPureState."""
     amp, v = noisy.state.amplitudes, noisy.visibility
     return v * np.outer(amp, amp.conj()) + (1.0 - v) / amp.size * np.eye(amp.size)
+
+
+def strategy_view(points, flips, signs):
+    """The DeterministicStrategy that one draw row (one entry per party) holds."""
+    return DeterministicStrategy(
+        ResponseFunction(p[:f], s) for p, f, s in zip(points, flips, signs)
+    )
+
+
+def ensemble_view(draw, trial=0):
+    """(weight, strategy) for each row of trial ``trial`` of a ``_TrialDraw``."""
+    rows = np.flatnonzero(draw.owner == trial)
+    return [
+        (float(draw.weights[r]), strategy_view(draw.points[r], draw.flips[r], draw.signs[r]))
+        for r in rows
+    ]
 
 
 @pytest.fixture

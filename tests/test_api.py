@@ -27,7 +27,6 @@ PUBLIC = [
     "DomainError",
     "GhzThresholds",
     "InvalidSizeError",
-    "LhvEnsemble",
     "NoisyPureState",
     "OptimizerConfig",
     "PROJECTION_NORM_BOUND",
@@ -91,7 +90,14 @@ class TestAll:
 
     @pytest.mark.parametrize(
         "name",
-        ["AngleSettings", "FourierProjection", "PauliAxis", "random_response", "random_strategy"],
+        [
+            "AngleSettings",
+            "FourierProjection",
+            "LhvEnsemble",
+            "PauliAxis",
+            "random_response",
+            "random_strategy",
+        ],
     )
     def test_removed_names_absent(self, name):
         assert name not in rotbell.__all__

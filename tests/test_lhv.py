@@ -12,7 +12,6 @@ from rotbell import (
     CorrelationTensor,
     DeterministicStrategy,
     DomainError,
-    LhvEnsemble,
     ResponseFunction,
     ShapeError,
     ensemble_inner_product,
@@ -27,13 +26,9 @@ from rotbell import (
     verify_bound,
 )
 from rotbell.functional_space import sign_overlaps
-from rotbell.lhv import (
-    _draw_responses,
-    _draw_trials,
-    _ensemble_view,
-    _strategy_view,
-    _trial_values,
-)
+from rotbell.lhv import _draw_responses, _draw_trials, _trial_values, _TrialDraw
+
+from conftest import ensemble_view, strategy_view
 
 TWO_PI = 2 * math.pi
 
@@ -58,32 +53,27 @@ def quad_lr_oracle(strategy, tensor):
 
 def random_strategy(rng, n):
     """A strategy of n random responses, drawn as ``_draw_responses`` rows."""
-    return _strategy_view(*_draw_responses(rng, (n,)))
+    return strategy_view(*_draw_responses(rng, (n,)))
 
 
 def random_tensor(rng, n):
     return CorrelationTensor(n, rng.uniform(-1, 1, size=(2,) * n))
 
 
-class TestEnsembleValidation:
-    def test_weights_must_be_nonnegative(self):
-        s = random_strategy(np.random.default_rng(0), 2)
-        with pytest.raises(DomainError):
-            LhvEnsemble([s, s], [1.5, -0.5])
+def one_trial_draw(points, flips, signs, weights):
+    """A hand-built one-trial draw: every row belongs to trial 0."""
+    weights = np.asarray(weights, dtype=float)
+    return _TrialDraw(np.zeros(weights.size, dtype=int), points, flips, signs, weights)
 
-    def test_weights_must_sum_to_one(self):
-        s = random_strategy(np.random.default_rng(0), 2)
-        with pytest.raises(DomainError):
-            LhvEnsemble([s], [0.9])
 
-    def test_party_counts_must_match(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ShapeError):
-            LhvEnsemble([random_strategy(rng, 2), random_strategy(rng, 3)], [0.5, 0.5])
+def object_value(draw, tensor, trial=0):
+    """Reference ensemble value: weighted fsum of per-strategy inner products."""
+    return math.fsum(w * lr_inner_product(s, tensor) for w, s in ensemble_view(draw, trial))
 
-    def test_needs_a_strategy(self):
-        with pytest.raises(DomainError):
-            LhvEnsemble([], [])
+
+def quad_ensemble_oracle(draw, tensor, trial=0):
+    """Independent ensemble value: weighted sum of quadrature inner products."""
+    return sum(w * quad_lr_oracle(s, tensor) for w, s in ensemble_view(draw, trial))
 
 
 class TestLrInnerProduct:
@@ -125,22 +115,22 @@ class TestLrInnerProduct:
 class TestEnsembleInnerProduct:
     def test_single_strategy_reduces_to_lr(self):
         rng = np.random.default_rng(5)
-        strategy = random_strategy(rng, 3)
+        points, flips, signs = _draw_responses(rng, (1, 3))
         tensor = random_tensor(rng, 3)
-        ensemble = LhvEnsemble([strategy], [1.0])
-        assert ensemble_inner_product(ensemble, tensor) == pytest.approx(
-            lr_inner_product(strategy, tensor), abs=1e-12
+        draw = one_trial_draw(points, flips, signs, [1.0])
+        assert ensemble_inner_product(draw, tensor) == pytest.approx(
+            lr_inner_product(strategy_view(points[0], flips[0], signs[0]), tensor), abs=1e-12
         )
 
     def test_sign_flipped_mixture_cancels(self):
         rng = np.random.default_rng(6)
-        strategy = random_strategy(rng, 3)
-        first = strategy.responses[0]
-        flipped = DeterministicStrategy(
-            (ResponseFunction(first.breakpoints, -first.leading_sign), *strategy.responses[1:])
+        points, flips, signs = _draw_responses(rng, (1, 3))
+        signs = np.concatenate([signs, signs])
+        signs[1, 0] *= -1.0  # the second row flips the first party's response
+        draw = one_trial_draw(
+            np.concatenate([points, points]), np.concatenate([flips, flips]), signs, [0.5, 0.5]
         )
-        ensemble = LhvEnsemble([strategy, flipped], [0.5, 0.5])
-        assert ensemble_inner_product(ensemble, random_tensor(rng, 3)) == pytest.approx(
+        assert ensemble_inner_product(draw, random_tensor(rng, 3)) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -148,10 +138,50 @@ class TestEnsembleInnerProduct:
         rng = np.random.default_rng(7)
         tensor = random_tensor(rng, 3)
         for _ in range(20):
-            ensemble = random_ensemble(rng, 3)
-            mixed = ensemble_inner_product(ensemble, tensor)
-            best = max(lr_inner_product(s, tensor) for s in ensemble.strategies)
+            draw = random_ensemble(rng, 3)
+            mixed = ensemble_inner_product(draw, tensor)
+            best = max(lr_inner_product(s, tensor) for _, s in ensemble_view(draw))
             assert mixed <= best + 1e-10
+
+    def test_party_count_mismatch(self):
+        # 2 rows x 2 parties x 2 overlaps reshape to 1 row x 4 parties x 2, so
+        # unguarded the contraction runs and fails late with a bare ValueError
+        points, flips, signs = _draw_responses(np.random.default_rng(18), (2, 2))
+        draw = one_trial_draw(points, flips, signs, [0.5, 0.5])
+        with pytest.raises(ShapeError):
+            ensemble_inner_product(draw, ghz_planar_tensor(4, 1.0))
+        rng = np.random.default_rng(19)
+        with pytest.raises(ShapeError):
+            ensemble_inner_product(random_ensemble(rng, 3), random_tensor(rng, 2))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_random_ensemble_is_a_one_trial_draw(self, seed, n):
+        ensemble = random_ensemble(np.random.default_rng(seed), n)
+        draw = _draw_trials(np.random.default_rng(seed), 1, n)
+        assert type(ensemble) is _TrialDraw
+        for field in _TrialDraw._fields:
+            assert np.array_equal(getattr(ensemble, field), getattr(draw, field)), field
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_object_path(self, n):
+        rng = np.random.default_rng([21, n])
+        tensor = random_tensor(rng, n)
+        for _ in range(10):
+            draw = random_ensemble(rng, n)
+            assert ensemble_inner_product(draw, tensor) == pytest.approx(
+                object_value(draw, tensor), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_against_quadrature_oracle(self, n):
+        rng = np.random.default_rng([22, n])
+        tensor = random_tensor(rng, n)
+        for _ in range(3):
+            draw = random_ensemble(rng, n)
+            assert ensemble_inner_product(draw, tensor) == pytest.approx(
+                quad_ensemble_oracle(draw, tensor), abs=1e-8
+            )
 
 
 class TestOptimalStrategy:
@@ -257,8 +287,7 @@ class TestBatchedSampler:
         found = _trial_values(draw, np.asarray(tensor.values))
         assert found.shape == (40,)
         for trial, value in enumerate(found):
-            ensemble = _ensemble_view(draw, trial)
-            assert value == pytest.approx(ensemble_inner_product(ensemble, tensor), abs=1e-12)
+            assert value == pytest.approx(object_value(draw, tensor, trial), abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_trial_value_against_quadrature_oracle(self, n):
@@ -267,12 +296,7 @@ class TestBatchedSampler:
         draw = _draw_trials(rng, 3, n)
         found = _trial_values(draw, np.asarray(tensor.values))
         for trial, value in enumerate(found):
-            ensemble = _ensemble_view(draw, trial)
-            oracle = sum(
-                w * quad_lr_oracle(s, tensor)
-                for s, w in zip(ensemble.strategies, ensemble.weights)
-            )
-            assert value == pytest.approx(oracle, abs=1e-8)
+            assert value == pytest.approx(quad_ensemble_oracle(draw, tensor, trial), abs=1e-8)
 
     def test_distribution(self):
         draw = _draw_trials(np.random.default_rng(13), 2000, 3)
@@ -300,14 +324,15 @@ class TestBatchedSampler:
         assert points.shape == (6, 3, 0)
         np.testing.assert_array_equal(sign_overlaps(points, flips, signs), 0.0)
 
-    def test_object_views_are_valid(self):
+    def test_small_draws_are_valid(self):
         rng = np.random.default_rng(16)
         for max_flips in (0, 2, 7, 8):
             _, flips, _ = _draw_responses(rng, (64,), max_flips)
             assert np.all(flips % 2 == 0) and np.all(flips <= max_flips)
         assert random_strategy(rng, 5).n_parties == 5
-        ensemble = random_ensemble(rng, 4, max_strategies=2)
-        assert ensemble.n_parties == 4 and len(ensemble.strategies) <= 2
+        draw = random_ensemble(rng, 4, max_strategies=2)
+        assert draw.points.shape[1] == 4 and 1 <= draw.owner.size <= 2
+        np.testing.assert_array_equal(draw.owner, 0)
 
     def test_memory_does_not_grow_with_trials(self):
         tensor = ghz_planar_tensor(8, 0.7)
