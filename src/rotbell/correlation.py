@@ -101,11 +101,12 @@ def product_contraction(values: np.ndarray, directions: np.ndarray) -> np.ndarra
     (S, 2^(N-j)) partial contraction, so S sets cost O(S 2^N).
     """
     batch = np.shape(directions)[:-2]
-    ds = np.reshape(directions, (-1, values.ndim, 2))
-    rows = len(ds)
+    n = values.ndim
+    rows = math.prod(batch)
+    ds = np.reshape(directions, (rows, n, 2))
     out = ds[:, 0] @ values.reshape(2, -1)
-    for j in range(1, values.ndim):
-        out = np.einsum("sar,sa->sr", out.reshape(rows, 2, -1), ds[:, j])
+    for j in range(1, n):
+        out = np.einsum("sar,sa->sr", out.reshape(rows, 2, 2 ** (n - 1 - j)), ds[:, j])
     return out[:, 0].reshape(batch)
 
 

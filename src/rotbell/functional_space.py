@@ -48,11 +48,10 @@ class ResponseFunction:
             raise DomainError("breakpoints must lie in [0, 2*pi)")
         if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
             raise DomainError("breakpoints must be strictly increasing")
-        sign = int(leading_sign)
-        if sign not in (1, -1):
+        if leading_sign not in (1, -1):  # compared, not truncated: 1.5 is no sign
             raise DomainError(f"leading_sign must be +1 or -1, got {leading_sign}")
         object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "leading_sign", sign)
+        object.__setattr__(self, "leading_sign", int(leading_sign))
 
     def __call__(self, alpha):
         """Evaluate at one angle or a numpy array of angles; returns +/-1."""
@@ -75,9 +74,9 @@ def sign_overlaps(breakpoints, flips, signs) -> np.ndarray:
     points = np.asarray(breakpoints, dtype=float)
     lead, width = points.shape[:-1], points.shape[-1]
     used = np.flatnonzero(np.arange(width) < np.reshape(flips, (-1, 1)))
-    rows = used // width
+    rows, column = np.divmod(used, width)
     t = points.reshape(-1)[used]
-    alt = np.where(used % width % 2 == 0, 1.0, -1.0)
+    alt = 1.0 - 2.0 * (column & 1)
     count = math.prod(lead)
     a = np.bincount(rows, alt * np.sin(t), minlength=count)
     b = np.bincount(rows, alt * np.cos(t), minlength=count)

@@ -10,12 +10,14 @@ form, build the strategy that attains the cap, and stress-test the bound
 with random ensembles.  Ensembles are arrays (one row per strategy, an
 owner index per row): the stress test scores a block of them with one
 overlap kernel and one contraction, and ``random_ensemble`` and
-``ensemble_inner_product`` draw and score a block of one.
+``ensemble_inner_product`` draw and score a block of one.  A row with a
+constant party scores an exact zero, with no trig.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,9 +40,11 @@ _MAX_STRATEGIES = 4
 
 #: Floats one block of ``verify_bound`` trials may hold.  A trial has up
 #: to _MAX_STRATEGIES strategy rows; a row holds about 2^N contraction
-#: entries and eight sampling temporaries of _MAX_FLIPS breakpoints per
-#: party.  The trials per block follow from 2^N, so memory does not grow
-#: with the trial count.
+#: entries, and the block size allows eight sampling temporaries of
+#: _MAX_FLIPS breakpoints per party, more than the sampler holds.  The
+#: trials per block follow from 2^N, so memory does not grow with the
+#: trial count.  Each block draws its own arrays, so the block size is
+#: part of the seeded stream: changing it changes every seeded result.
 _BLOCK_FLOATS = 2**21
 
 #: Slack added to the bound when counting violations (optimizer accuracy).
@@ -149,16 +153,19 @@ def _draw_responses(rng: np.random.Generator, shape: tuple, max_flips: int = _MA
     k = np.arange(2 * (max_flips // 2))
 
     def sorted_rows(count: np.ndarray) -> np.ndarray:
-        fresh = rng.uniform(0.0, _TWO_PI, count.shape + k.shape)
-        return np.sort(np.where(k < count[..., None], fresh, _TWO_PI + k), axis=-1)
+        rows = rng.uniform(0.0, _TWO_PI, count.shape + k.shape)
+        np.copyto(rows, _TWO_PI + k, where=k >= count[..., None])
+        rows.sort(axis=-1)
+        return rows
 
     points = sorted_rows(flips)
     # padding is 2*pi + k, above every breakpoint and increasing, so any
     # non-increasing step is a repeated breakpoint
-    redraw = np.any(np.diff(points, axis=-1) <= 0.0, axis=-1)
-    while redraw.any():
+    repeats = points[..., 1:] <= points[..., :-1]
+    while repeats.any():
+        redraw = repeats.any(axis=-1)
         points[redraw] = sorted_rows(flips[redraw])
-        redraw = np.any(np.diff(points, axis=-1) <= 0.0, axis=-1)
+        repeats = points[..., 1:] <= points[..., :-1]
     signs = 1.0 - 2.0 * rng.integers(0, 2, size=shape)
     return points, flips, signs
 
@@ -175,8 +182,17 @@ def _draw_trials(
 
 
 def _trial_values(draw: _TrialDraw, values: np.ndarray) -> np.ndarray:
-    """Each trial's weighted inner product with the tensor ``values``."""
-    overlaps = sign_overlaps(draw.points, draw.flips, draw.signs)
+    """Each trial's weighted inner product with the tensor ``values``.
+
+    A row with a constant party (no flips) has that party's overlaps
+    exactly zero, so it scores zero: only rows whose every party flips
+    get the overlap kernel.  The contraction still takes the whole block,
+    because a matrix product over fewer rows can round the live rows
+    differently, and the seeded results are pinned.
+    """
+    live = draw.flips.min(axis=1) > 0
+    overlaps = np.zeros(draw.points.shape[:2] + (2,))
+    overlaps[live] = sign_overlaps(draw.points[live], draw.flips[live], draw.signs[live])
     rows = draw.weights * product_contraction(values, overlaps)
     return np.bincount(draw.owner, rows)
 
@@ -214,12 +230,12 @@ def verify_bound(
     sorted breakpoints, leading signs, Dirichlet weights) and scored by
     one overlap kernel and one contraction, in blocks of a fixed number
     of trials set by 2^N (see ``_BLOCK_FLOATS``), so memory does not
-    grow with ``trial_count``.
+    grow with ``trial_count``.  A strategy with a constant party scores
+    an exact zero, with no trig.
     """
-    if trial_count < 1:
-        raise DomainError(f"trial_count must be >= 1, got {trial_count}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    for name, count, low in (("trial_count", trial_count, 1), ("seed", seed, 0)):
+        if not isinstance(count, numbers.Integral) or count < low:
+            raise DomainError(f"{name} must be an integer >= {low}, got {count!r}")
     n = tensor.n_parties
     top = t_max(tensor, config)
     bound = 4.0**n * top.value

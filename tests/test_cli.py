@@ -276,6 +276,20 @@ class TestVerifyBoundCommand:
         assert seen["config"].seed == 11
         assert seen["config"].random_starts == 3
 
+    def test_random_ensembles_pinned(self, capsys):
+        # without the optimal strategy, max_found comes from the seeded
+        # random ensembles alone; the value is that of the seeded stream
+        # before the sampler skipped rows with a constant party
+        tensor = Path(__file__).resolve().parent / "data" / "readme" / "tensor.json"
+        code, out, _ = run_cli(
+            capsys, "verify-bound", "--in", str(tensor), "--trials", "10000",
+            "--seed", "0", "--skip-optimal",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["violations"] == 0 and not doc["includes_optimal"]
+        assert doc["max_found"] == pytest.approx(49.11430339356176, rel=1e-12)
+
     def test_deterministic_in_seed(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         run_cli(capsys, "tensor", "--ghz", "2", "--visibility", "0.8", "--out", str(path))

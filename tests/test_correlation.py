@@ -209,7 +209,7 @@ def chain_contraction(values, vectors):
 
 
 class TestProductContraction:
-    @pytest.mark.parametrize("batch", [(), (1,), (7,), (3, 5)])
+    @pytest.mark.parametrize("batch", [(), (1,), (7,), (3, 5), (0,), (0, 3)])
     @pytest.mark.parametrize("n", range(1, 11))
     def test_against_chain(self, n, batch):
         rng = np.random.default_rng(n)

@@ -69,8 +69,12 @@ class TestResponseFunction:
             ResponseFunction((0.5, TWO_PI), 1)  # out of range
         with pytest.raises(DomainError):
             ResponseFunction((1.0, 0.5), 1)  # not increasing
-        with pytest.raises(DomainError):
-            ResponseFunction((), 2)  # bad sign
+        for sign in (2, 0, 1.5, -1.9, 0.5):  # bad sign, never truncated to one
+            with pytest.raises(DomainError):
+                ResponseFunction((), sign)
+        for sign in (1.0, -1.0, np.float64(-1.0), np.int64(1)):
+            got = ResponseFunction((), sign).leading_sign
+            assert type(got) is int and got == sign
 
     def test_constant(self):
         one = ResponseFunction((), 1)

@@ -25,6 +25,8 @@ from rotbell import (
     two_setting_model_exists,
     verify_bound,
 )
+from rotbell import lhv
+from rotbell.correlation import product_contraction
 from rotbell.functional_space import sign_overlaps
 from rotbell.lhv import _draw_responses, _draw_trials, _trial_values, _TrialDraw
 
@@ -49,6 +51,40 @@ def quad_lr_oracle(strategy, tensor):
             term *= overlaps[j][i - 1]
         total += term
     return total
+
+
+def reference_draw_responses(rng, shape, max_flips=8):
+    """``_draw_responses`` as it was before it padded and sorted in place
+    and tested for repeats without ``np.diff``.  The random calls and their
+    order are the same, so draws must agree bit for bit."""
+    flips = 2 * rng.integers(0, max_flips // 2 + 1, size=shape)
+    k = np.arange(2 * (max_flips // 2))
+
+    def sorted_rows(count):
+        fresh = rng.uniform(0.0, TWO_PI, count.shape + k.shape)
+        return np.sort(np.where(k < count[..., None], fresh, TWO_PI + k), axis=-1)
+
+    points = sorted_rows(flips)
+    redraw = np.any(np.diff(points, axis=-1) <= 0.0, axis=-1)
+    while redraw.any():
+        points[redraw] = sorted_rows(flips[redraw])
+        redraw = np.any(np.diff(points, axis=-1) <= 0.0, axis=-1)
+    signs = 1.0 - 2.0 * rng.integers(0, 2, size=shape)
+    return points, flips, signs
+
+
+def reference_trial_values(draw, values):
+    """``_trial_values`` as it was before it skipped rows with a constant
+    party: overlaps for every row, then the contraction.  The live rows'
+    arithmetic is the same, so values must agree bit for bit."""
+    overlaps = sign_overlaps(draw.points, draw.flips, draw.signs)
+    return np.bincount(draw.owner, draw.weights * product_contraction(values, overlaps))
+
+
+def assert_draws_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
 
 
 def random_strategy(rng, n):
@@ -245,13 +281,21 @@ class TestVerifyBound:
         assert verify_bound(ghz_planar_tensor(2, 0.5), 10, seed=5).certified
         assert not verify_bound(open_gap, 10, seed=5).certified
 
-    def test_rejects_nonpositive_trials(self):
-        with pytest.raises(DomainError):
-            verify_bound(ghz_planar_tensor(2, 0.5), 0)
+    @pytest.mark.parametrize("trials", [0, -3, 2.5, 3.0, "3", None])
+    def test_rejects_bad_trial_count(self, trials):
+        with pytest.raises(DomainError, match="trial_count"):
+            verify_bound(ghz_planar_tensor(2, 0.5), trials)
 
-    def test_rejects_negative_seed(self):
-        with pytest.raises(DomainError):
-            verify_bound(ghz_planar_tensor(2, 0.5), 10, seed=-1)
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "1", None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            verify_bound(ghz_planar_tensor(2, 0.5), 3, seed=seed)
+
+    def test_accepts_numpy_integers(self):
+        tensor = ghz_planar_tensor(2, 0.5)
+        assert verify_bound(tensor, np.int64(3), seed=np.uint32(1)) == verify_bound(
+            tensor, 3, seed=1
+        )
 
     def test_deterministic_in_seed(self):
         tensor = ghz_planar_tensor(3, 0.8)
@@ -345,6 +389,75 @@ class TestBatchedSampler:
             tracemalloc.stop()
             assert report.trials == trials and report.violations == 0
         assert peaks[1] - peaks[0] < 20 * 2**20
+
+
+class TestBitIdentity:
+    """The sampler against its references: same random stream, same values."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_draws_and_values_match_reference(self, n, monkeypatch):
+        values = np.random.default_rng([30, n]).uniform(-1, 1, (2,) * n)
+        for trials in (1, 2, 17, 300) + ((2000,) if n <= 8 else ()):
+            draw = _draw_trials(np.random.default_rng([31, n, trials]), trials, n)
+            with monkeypatch.context() as patched:
+                patched.setattr(lhv, "_draw_responses", reference_draw_responses)
+                want = _draw_trials(np.random.default_rng([31, n, trials]), trials, n)
+            assert_draws_equal(draw, want)
+            np.testing.assert_array_equal(
+                _trial_values(draw, values), reference_trial_values(draw, values)
+            )
+
+    @pytest.mark.parametrize("max_flips", [0, 2, 7, 8])
+    def test_small_max_flips_match_reference(self, max_flips):
+        values = np.random.default_rng(33).uniform(-1, 1, (2,) * 4)
+        for seed in range(5):
+            got = _draw_responses(np.random.default_rng([34, seed]), (90, 4), max_flips)
+            want = reference_draw_responses(np.random.default_rng([34, seed]), (90, 4), max_flips)
+            assert_draws_equal(got, want)
+            draw = one_trial_draw(*got, np.full(90, 1 / 90))
+            np.testing.assert_array_equal(
+                _trial_values(draw, values), reference_trial_values(draw, values)
+            )
+
+    def test_redraw_path_matches_reference(self):
+        rng, ref = RepeatFirstDraw(35), RepeatFirstDraw(35)
+        assert_draws_equal(_draw_responses(rng, (50, 3)), reference_draw_responses(ref, (50, 3)))
+        assert rng.repeated and ref.repeated
+        assert rng.random() == ref.random()  # the same draws were consumed
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_every_row_dead(self, n):
+        # a constant party in every row: each trial scores an exact zero
+        draw = _draw_trials(np.random.default_rng([36, n]), 50, n)
+        flips = draw.flips.copy()
+        flips[:, -1] = 0
+        dead = draw._replace(flips=flips)
+        values = np.random.default_rng(37).uniform(-1, 1, (2,) * n)
+        found = _trial_values(dead, values)
+        np.testing.assert_array_equal(found, reference_trial_values(dead, values))
+        np.testing.assert_array_equal(found, 0.0)
+
+    @pytest.mark.parametrize("include_optimal", [True, False])
+    def test_verify_bound_matches_reference(self, include_optimal, monkeypatch):
+        # the stress workload's kinds of input; at N = 8 the 1000 trials take two blocks
+        rng = np.random.default_rng(38)
+        tensors = [ghz_planar_tensor(4, 0.34), ghz_planar_tensor(8, 0.6), random_tensor(rng, 5)]
+        for seed, tensor in enumerate(tensors):
+            got = verify_bound(tensor, 1000, seed=seed, include_optimal=include_optimal)
+            with monkeypatch.context() as patched:
+                patched.setattr(lhv, "_draw_responses", reference_draw_responses)
+                patched.setattr(lhv, "_trial_values", reference_trial_values)
+                want = verify_bound(tensor, 1000, seed=seed, include_optimal=include_optimal)
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [(0, 2320.779649625729), (1, 2835.5973629035398), (2, 1659.865598728113)],
+    )
+    def test_seeded_stream_is_pinned(self, seed, expected):
+        # three blocks at N = 8; the values predate skipping constant rows
+        report = verify_bound(ghz_planar_tensor(8, 0.6), 1500, seed=seed, include_optimal=False)
+        assert report.max_found == pytest.approx(expected, rel=1e-12)
 
 
 class TestGeneralizedBellBound:
