@@ -11,7 +11,8 @@ with random ensembles.  Ensembles are arrays (one row per strategy, an
 owner index per row): the stress test scores a block of them with one
 overlap kernel and one contraction, and ``random_ensemble`` and
 ``ensemble_inner_product`` draw and score a block of one.  A row with a
-constant party scores an exact zero, with no trig.
+constant party scores an exact zero, so only the live rows, whose every
+party flips, have their breakpoints drawn and scored.
 """
 
 from __future__ import annotations
@@ -32,19 +33,21 @@ from .functional_space import (
     saturating_response,
     sign_overlaps,
 )
-from .states import _TOL
+from .states import _TOL, _check_party_count
 from .tensor_analysis import OptimizerConfig, sum_of_squares, t_max
 
 _MAX_FLIPS = 8
 _MAX_STRATEGIES = 4
 
-#: Floats one block of ``verify_bound`` trials may hold.  A trial has up
-#: to _MAX_STRATEGIES strategy rows; a row holds about 2^N contraction
-#: entries, and the block size allows eight sampling temporaries of
-#: _MAX_FLIPS breakpoints per party, more than the sampler holds.  The
-#: trials per block follow from 2^N, so memory does not grow with the
-#: trial count.  Each block draws its own arrays, so the block size is
-#: part of the seeded stream: changing it changes every seeded result.
+#: Floats one block of ``verify_bound`` trials may hold, on average.  A
+#: trial has (1 + _MAX_STRATEGIES) / 2 strategy rows on average; every
+#: row holds its owner, weight and N flip counts, and a live row (every
+#: party flips, probability (4/5)^N) also holds about 2^N contraction
+#: entries and eight sampling temporaries of _MAX_FLIPS breakpoints per
+#: party.  A block's live rows stay within a few percent of their mean,
+#: so the trials per block follow from N and memory does not grow with
+#: the trial count.  Each block draws its own arrays, so the block size
+#: is part of the seeded stream: changing it changes every seeded result.
 _BLOCK_FLOATS = 2**21
 
 #: Slack added to the bound when counting violations (optimizer accuracy).
@@ -131,26 +134,28 @@ def two_setting_model_exists(tensor: CorrelationTensor) -> bool:
 class _TrialDraw(NamedTuple):
     """Random ensembles as arrays: strategy row s belongs to trial owner[s].
 
-    Row s, party j is the response with leading sign signs[s, j] and
-    breakpoints points[s, j, :flips[s, j]].
+    Row s gives party j flips[s, j] flips and has weight weights[s].  Only
+    the live rows, whose every party flips, hold responses: live row i is
+    row live[i], and its party j has leading sign signs[i, j] and
+    breakpoints points[i, j, :flips[live[i], j]].  A dead row scores zero
+    whatever its responses are, so they are never drawn.
     """
 
     owner: np.ndarray  # (S,)
-    points: np.ndarray  # (S, N, _MAX_FLIPS) sorted breakpoints, padded
     flips: np.ndarray  # (S, N)
-    signs: np.ndarray  # (S, N)
     weights: np.ndarray  # (S,), summing to 1 over each trial's rows
+    live: np.ndarray  # (L,) indices of the live rows
+    points: np.ndarray  # (L, N, _MAX_FLIPS) sorted breakpoints, padded
+    signs: np.ndarray  # (L, N)
 
 
-def _draw_responses(rng: np.random.Generator, shape: tuple, max_flips: int = _MAX_FLIPS):
-    """Padded breakpoint rows, flip counts and leading signs of random responses.
+def _draw_breakpoints(rng: np.random.Generator, flips: np.ndarray, width: int) -> np.ndarray:
+    """Sorted breakpoint rows padded to ``width``, ``flips`` of them per row.
 
-    Flip counts are uniform over {0, 2, ..., max_flips}, flip positions
-    uniform on [0, 2*pi), leading signs uniform.  A row with a repeated
+    Flip positions are uniform on [0, 2*pi).  A row with a repeated
     breakpoint is drawn again.
     """
-    flips = 2 * rng.integers(0, max_flips // 2 + 1, size=shape)
-    k = np.arange(2 * (max_flips // 2))
+    k = np.arange(width)
 
     def sorted_rows(count: np.ndarray) -> np.ndarray:
         rows = rng.uniform(0.0, _TWO_PI, count.shape + k.shape)
@@ -166,47 +171,71 @@ def _draw_responses(rng: np.random.Generator, shape: tuple, max_flips: int = _MA
         redraw = repeats.any(axis=-1)
         points[redraw] = sorted_rows(flips[redraw])
         repeats = points[..., 1:] <= points[..., :-1]
-    signs = 1.0 - 2.0 * rng.integers(0, 2, size=shape)
-    return points, flips, signs
+    return points
 
 
 def _draw_trials(
-    rng: np.random.Generator, trials: int, n_parties: int, max_strategies: int = _MAX_STRATEGIES
+    rng: np.random.Generator,
+    trials: int,
+    n_parties: int,
+    max_strategies: int = _MAX_STRATEGIES,
+    max_flips: int = _MAX_FLIPS,
 ) -> _TrialDraw:
     """Sample ensembles: strategy count uniform in 1..max_strategies,
-    weights Dirichlet(1), i.e. exponentials normalised per trial."""
+    weights Dirichlet(1), i.e. exponentials normalised per trial, flip
+    counts uniform over {0, 2, ..., max_flips}, breakpoints uniform and
+    leading signs uniform.  Breakpoints and signs are drawn for the live
+    rows alone."""
     owner = np.repeat(np.arange(trials), rng.integers(1, max_strategies + 1, size=trials))
-    points, flips, signs = _draw_responses(rng, (owner.size, n_parties))
+    flips = 2 * rng.integers(0, max_flips // 2 + 1, size=(owner.size, n_parties), dtype=np.int8)
     mass = rng.standard_exponential(owner.size)
-    return _TrialDraw(owner, points, flips, signs, mass / np.bincount(owner, mass)[owner])
+    live = np.flatnonzero(flips.all(axis=1))
+    points = _draw_breakpoints(rng, flips[live], 2 * (max_flips // 2))
+    signs = 1.0 - 2.0 * rng.integers(0, 2, size=(live.size, n_parties))
+    return _TrialDraw(owner, flips, mass / np.bincount(owner, mass)[owner], live, points, signs)
 
 
 def _trial_values(draw: _TrialDraw, values: np.ndarray) -> np.ndarray:
     """Each trial's weighted inner product with the tensor ``values``.
 
     A row with a constant party (no flips) has that party's overlaps
-    exactly zero, so it scores zero: only rows whose every party flips
-    get the overlap kernel.  The contraction still takes the whole block,
-    because a matrix product over fewer rows can round the live rows
-    differently, and the seeded results are pinned.
+    exactly zero, so it scores zero: only the live rows get the overlap
+    kernel and the contraction, and a trial with none scores 0.0.
     """
-    live = draw.flips.min(axis=1) > 0
-    overlaps = np.zeros(draw.points.shape[:2] + (2,))
-    overlaps[live] = sign_overlaps(draw.points[live], draw.flips[live], draw.signs[live])
-    rows = draw.weights * product_contraction(values, overlaps)
-    return np.bincount(draw.owner, rows)
+    live = draw.live
+    overlaps = sign_overlaps(draw.points, draw.flips[live], draw.signs)
+    rows = draw.weights[live] * product_contraction(values, overlaps)
+    return np.bincount(draw.owner[live], rows, minlength=draw.owner[-1] + 1)
+
+
+def _saturating_value(maximizer: np.ndarray, values: np.ndarray) -> float:
+    """The saturating strategy's inner product, its N responses as one kernel call."""
+    responses = _saturating_strategy(maximizer).responses
+    overlaps = sign_overlaps(
+        [r.breakpoints for r in responses],
+        np.full(len(responses), 2),
+        [r.leading_sign for r in responses],
+    )
+    return float(product_contraction(values, overlaps))
+
+
+def _check_count(name: str, count, low: int) -> None:
+    if not isinstance(count, numbers.Integral) or count < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {count!r}")
 
 
 def random_ensemble(
     rng: np.random.Generator, n_parties: int, max_strategies: int = _MAX_STRATEGIES
 ) -> _TrialDraw:
     """Sample one ensemble as a one-trial draw of ``verify_bound``'s sampler."""
+    _check_party_count(n_parties)
+    _check_count("max_strategies", max_strategies, 1)
     return _draw_trials(rng, 1, n_parties, max_strategies)
 
 
 def ensemble_inner_product(ensemble: _TrialDraw, tensor: CorrelationTensor) -> float:
     """Weighted inner product with E_T of the ensemble that trial 0 of a draw holds."""
-    n = ensemble.points.shape[1]
+    n = ensemble.flips.shape[1]
     if n != tensor.n_parties:
         raise ShapeError(f"{n}-party ensemble against {tensor.n_parties}-party tensor")
     return float(_trial_values(ensemble, tensor.values)[0])
@@ -226,22 +255,25 @@ def verify_bound(
     saturating strategy joins the comparison so ``max_found`` approaches
     the bound.  The T_max certificate is carried through.
 
-    Trials are drawn as arrays (strategy counts, flip counts, padded
-    sorted breakpoints, leading signs, Dirichlet weights) and scored by
-    one overlap kernel and one contraction, in blocks of a fixed number
-    of trials set by 2^N (see ``_BLOCK_FLOATS``), so memory does not
-    grow with ``trial_count``.  A strategy with a constant party scores
-    an exact zero, with no trig.
+    Trials are drawn as arrays (strategy counts, flip counts, Dirichlet
+    weights, then padded sorted breakpoints and leading signs for the live
+    rows alone) and scored by one overlap kernel and one contraction over
+    the live rows, in blocks of a fixed number of trials set by N (see
+    ``_BLOCK_FLOATS``), so memory does not grow with ``trial_count``.  A
+    strategy with a constant party scores an exact zero, so its
+    breakpoints are never drawn.  The saturating strategy is scored by the
+    same kernel, its N responses stacked as rows.
     """
-    for name, count, low in (("trial_count", trial_count, 1), ("seed", seed, 0)):
-        if not isinstance(count, numbers.Integral) or count < low:
-            raise DomainError(f"{name} must be an integer >= {low}, got {count!r}")
+    _check_count("trial_count", trial_count, 1)
+    _check_count("seed", seed, 0)
     n = tensor.n_parties
     top = t_max(tensor, config)
     bound = 4.0**n * top.value
 
     values = np.asarray(tensor.values)
-    block = max(1, _BLOCK_FLOATS // (_MAX_STRATEGIES * (2**n + 8 * _MAX_FLIPS * n)))
+    live = (1.0 - 1.0 / (_MAX_FLIPS // 2 + 1)) ** n
+    row = n + 4 + live * (2**n + 8 * _MAX_FLIPS * n)
+    block = max(1, int(_BLOCK_FLOATS / ((_MAX_STRATEGIES + 1) / 2 * row)))
     rng = np.random.default_rng(seed)
     max_found = -math.inf
     violations = 0
@@ -250,7 +282,7 @@ def verify_bound(
         max_found = max(max_found, float(found.max()))
         violations += int(np.count_nonzero(found > bound + BOUND_TOLERANCE))
     if include_optimal:
-        value = lr_inner_product(_saturating_strategy(top.maximizer), tensor)
+        value = _saturating_value(top.maximizer, values)
         max_found = max(max_found, value)
         violations += int(value > bound + BOUND_TOLERANCE)
 

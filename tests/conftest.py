@@ -30,11 +30,12 @@ def strategy_view(points, flips, signs):
 
 
 def ensemble_view(draw, trial=0):
-    """(weight, strategy) for each row of trial ``trial`` of a ``_TrialDraw``."""
-    rows = np.flatnonzero(draw.owner == trial)
+    """(weight, strategy) for each live row of trial ``trial`` of a
+    ``_TrialDraw``; a dead row scores zero and holds no responses."""
     return [
-        (float(draw.weights[r]), strategy_view(draw.points[r], draw.flips[r], draw.signs[r]))
-        for r in rows
+        (float(draw.weights[r]), strategy_view(draw.points[i], draw.flips[r], draw.signs[i]))
+        for i, r in enumerate(draw.live)
+        if draw.owner[r] == trial
     ]
 
 

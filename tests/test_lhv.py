@@ -3,15 +3,18 @@
 import itertools
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import ks_2samp, kstest
 
 from rotbell import (
     CorrelationTensor,
     DeterministicStrategy,
     DomainError,
+    InvalidSizeError,
     ResponseFunction,
     ShapeError,
     ensemble_inner_product,
@@ -25,10 +28,16 @@ from rotbell import (
     two_setting_model_exists,
     verify_bound,
 )
-from rotbell import lhv
 from rotbell.correlation import product_contraction
 from rotbell.functional_space import sign_overlaps
-from rotbell.lhv import _draw_responses, _draw_trials, _trial_values, _TrialDraw
+from rotbell.lhv import (
+    _draw_breakpoints,
+    _draw_trials,
+    _saturating_strategy,
+    _saturating_value,
+    _trial_values,
+    _TrialDraw,
+)
 
 from conftest import ensemble_view, strategy_view
 
@@ -53,43 +62,91 @@ def quad_lr_oracle(strategy, tensor):
     return total
 
 
+class ReferenceDraw(NamedTuple):
+    """A draw of the full-row sampler: every row holds its responses."""
+
+    owner: np.ndarray  # (S,)
+    points: np.ndarray  # (S, N, 8) sorted breakpoints, padded
+    flips: np.ndarray  # (S, N)
+    signs: np.ndarray  # (S, N)
+    weights: np.ndarray  # (S,)
+
+
 def reference_draw_responses(rng, shape, max_flips=8):
-    """``_draw_responses`` as it was before it padded and sorted in place
-    and tested for repeats without ``np.diff``.  The random calls and their
-    order are the same, so draws must agree bit for bit."""
+    """Padded breakpoint rows, flip counts and leading signs, as the
+    full-row sampler drew them for every row, dead or live."""
     flips = 2 * rng.integers(0, max_flips // 2 + 1, size=shape)
     k = np.arange(2 * (max_flips // 2))
 
     def sorted_rows(count):
-        fresh = rng.uniform(0.0, TWO_PI, count.shape + k.shape)
-        return np.sort(np.where(k < count[..., None], fresh, TWO_PI + k), axis=-1)
+        rows = rng.uniform(0.0, TWO_PI, count.shape + k.shape)
+        np.copyto(rows, TWO_PI + k, where=k >= count[..., None])
+        rows.sort(axis=-1)
+        return rows
 
     points = sorted_rows(flips)
-    redraw = np.any(np.diff(points, axis=-1) <= 0.0, axis=-1)
-    while redraw.any():
+    repeats = points[..., 1:] <= points[..., :-1]
+    while repeats.any():
+        redraw = repeats.any(axis=-1)
         points[redraw] = sorted_rows(flips[redraw])
-        redraw = np.any(np.diff(points, axis=-1) <= 0.0, axis=-1)
+        repeats = points[..., 1:] <= points[..., :-1]
     signs = 1.0 - 2.0 * rng.integers(0, 2, size=shape)
     return points, flips, signs
 
 
+def reference_draw_trials(rng, trials, n, max_strategies=4):
+    """The full-row sampler that the live-row one replaced: the same law,
+    with breakpoints and signs drawn for the dead rows too."""
+    owner = np.repeat(np.arange(trials), rng.integers(1, max_strategies + 1, size=trials))
+    points, flips, signs = reference_draw_responses(rng, (owner.size, n))
+    mass = rng.standard_exponential(owner.size)
+    return ReferenceDraw(owner, points, flips, signs, mass / np.bincount(owner, mass)[owner])
+
+
+def reference_sign_overlaps(points, flips, signs):
+    """The overlap kernel summing term by term, with alternating signs."""
+    width = points.shape[-1]
+    used = np.flatnonzero(np.arange(width) < np.reshape(flips, (-1, 1)))
+    rows, column = np.divmod(used, width)
+    t = points.reshape(-1)[used]
+    alt = 1.0 - 2.0 * (column & 1)
+    a = np.bincount(rows, alt * np.sin(t), minlength=flips.size)
+    b = np.bincount(rows, alt * np.cos(t), minlength=flips.size)
+    scale = 2.0 * np.reshape(signs, -1)
+    return np.stack([scale * a, -scale * b], axis=-1).reshape(flips.shape + (2,))
+
+
 def reference_trial_values(draw, values):
-    """``_trial_values`` as it was before it skipped rows with a constant
-    party: overlaps for every row, then the contraction.  The live rows'
-    arithmetic is the same, so values must agree bit for bit."""
-    overlaps = sign_overlaps(draw.points, draw.flips, draw.signs)
+    """The full-block kernel: overlaps for the live rows, then the
+    contraction of every row of the block, dead rows included."""
+    live = draw.flips.min(axis=1) > 0
+    overlaps = np.zeros(draw.points.shape[:2] + (2,))
+    overlaps[live] = reference_sign_overlaps(
+        draw.points[live], draw.flips[live], draw.signs[live]
+    )
     return np.bincount(draw.owner, draw.weights * product_contraction(values, overlaps))
 
 
-def assert_draws_equal(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b)
+def live_draw(ref):
+    """``ref``'s rows in the sampler's layout: responses for the live rows alone."""
+    live = np.flatnonzero(ref.flips.min(axis=1) > 0)
+    weights = np.asarray(ref.weights, dtype=float)
+    return _TrialDraw(ref.owner, ref.flips, weights, live, ref.points[live], ref.signs[live])
+
+
+def padded_draw(draw):
+    """``draw``'s rows in the full-row layout: a dead row gets padding and sign +1."""
+    rows, n, width = draw.flips.shape + draw.points.shape[-1:]
+    points = np.broadcast_to(TWO_PI + np.arange(width), (rows, n, width)).copy()
+    points[draw.live] = draw.points
+    signs = np.ones((rows, n))
+    signs[draw.live] = draw.signs
+    return ReferenceDraw(draw.owner, points, draw.flips, signs, draw.weights)
 
 
 def random_strategy(rng, n):
-    """A strategy of n random responses, drawn as ``_draw_responses`` rows."""
-    return strategy_view(*_draw_responses(rng, (n,)))
+    """A strategy of n random responses, drawn as full-row sampler rows."""
+    return strategy_view(*reference_draw_responses(rng, (n,)))
 
 
 def random_tensor(rng, n):
@@ -98,8 +155,8 @@ def random_tensor(rng, n):
 
 def one_trial_draw(points, flips, signs, weights):
     """A hand-built one-trial draw: every row belongs to trial 0."""
-    weights = np.asarray(weights, dtype=float)
-    return _TrialDraw(np.zeros(weights.size, dtype=int), points, flips, signs, weights)
+    owner = np.zeros(len(weights), dtype=int)
+    return live_draw(ReferenceDraw(owner, points, flips, signs, weights))
 
 
 def object_value(draw, tensor, trial=0):
@@ -151,7 +208,7 @@ class TestLrInnerProduct:
 class TestEnsembleInnerProduct:
     def test_single_strategy_reduces_to_lr(self):
         rng = np.random.default_rng(5)
-        points, flips, signs = _draw_responses(rng, (1, 3))
+        points, flips, signs = reference_draw_responses(rng, (1, 3))
         tensor = random_tensor(rng, 3)
         draw = one_trial_draw(points, flips, signs, [1.0])
         assert ensemble_inner_product(draw, tensor) == pytest.approx(
@@ -160,7 +217,7 @@ class TestEnsembleInnerProduct:
 
     def test_sign_flipped_mixture_cancels(self):
         rng = np.random.default_rng(6)
-        points, flips, signs = _draw_responses(rng, (1, 3))
+        points, flips, signs = reference_draw_responses(rng, (1, 3))
         signs = np.concatenate([signs, signs])
         signs[1, 0] *= -1.0  # the second row flips the first party's response
         draw = one_trial_draw(
@@ -176,13 +233,15 @@ class TestEnsembleInnerProduct:
         for _ in range(20):
             draw = random_ensemble(rng, 3)
             mixed = ensemble_inner_product(draw, tensor)
-            best = max(lr_inner_product(s, tensor) for _, s in ensemble_view(draw))
-            assert mixed <= best + 1e-10
+            scores = [lr_inner_product(s, tensor) for _, s in ensemble_view(draw)]
+            if len(scores) < draw.owner.size:
+                scores.append(0.0)  # a dead row's score
+            assert mixed <= max(scores) + 1e-10
 
     def test_party_count_mismatch(self):
         # 2 rows x 2 parties x 2 overlaps reshape to 1 row x 4 parties x 2, so
         # unguarded the contraction runs and fails late with a bare ValueError
-        points, flips, signs = _draw_responses(np.random.default_rng(18), (2, 2))
+        points, flips, signs = reference_draw_responses(np.random.default_rng(18), (2, 2))
         draw = one_trial_draw(points, flips, signs, [0.5, 0.5])
         with pytest.raises(ShapeError):
             ensemble_inner_product(draw, ghz_planar_tensor(4, 1.0))
@@ -243,6 +302,18 @@ class TestOptimalStrategy:
                     continue
                 _, value = optimal_strategy(tensor)
                 assert value / (4.0**n * top) == pytest.approx(1.0, abs=1e-8)
+
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_saturating_value_matches_lr_inner_product(self, n):
+        # verify_bound scores the saturating strategy as N stacked kernel rows
+        rng = np.random.default_rng([40, n])
+        tensor = random_tensor(rng, n)
+        for _ in range(60):
+            maximizer = rng.normal(size=(n, 2))
+            maximizer /= np.linalg.norm(maximizer, axis=1, keepdims=True)
+            strategy = _saturating_strategy(maximizer)
+            assert _saturating_value(maximizer, tensor.values) == lr_inner_product(strategy, tensor)
 
 
 class TestVerifyBound:
@@ -348,8 +419,10 @@ class TestBatchedSampler:
         assert counts.size == 2000
         assert set(counts) == {1, 2, 3, 4}
         assert set(draw.flips.ravel()) == {0, 2, 4, 6, 8}
+        np.testing.assert_array_equal(draw.live, np.flatnonzero(draw.flips.min(axis=1) > 0))
+        assert draw.points.shape == (draw.live.size, 3, 8)
         assert set(draw.signs.ravel()) == {-1.0, 1.0}
-        for row, flips in zip(draw.points.reshape(-1, 8), draw.flips.ravel()):
+        for row, flips in zip(draw.points.reshape(-1, 8), draw.flips[draw.live].ravel()):
             points = row[:flips]
             assert np.all((points >= 0.0) & (points < TWO_PI))
             assert np.all(np.diff(points) > 0.0)
@@ -358,25 +431,38 @@ class TestBatchedSampler:
 
     def test_repeated_breakpoints_are_drawn_again(self):
         rng = RepeatFirstDraw(14)
-        points, flips, _ = _draw_responses(rng, (50, 3))
+        flips = 2 * np.random.default_rng(14).integers(1, 5, size=(50, 3))
+        points = _draw_breakpoints(rng, flips, 8)
         assert rng.repeated
         for row, count in zip(points.reshape(-1, 8), flips.ravel()):
             assert np.all(np.diff(row[:count]) > 0.0)
 
     def test_zero_flip_rows_project_to_zero(self):
-        points, flips, signs = _draw_responses(np.random.default_rng(15), (6, 3), 0)
+        flips = np.zeros((6, 3), dtype=int)
+        points = _draw_breakpoints(np.random.default_rng(15), flips, 0)
         assert points.shape == (6, 3, 0)
-        np.testing.assert_array_equal(sign_overlaps(points, flips, signs), 0.0)
+        np.testing.assert_array_equal(sign_overlaps(points, flips, np.ones((6, 3))), 0.0)
 
     def test_small_draws_are_valid(self):
         rng = np.random.default_rng(16)
         for max_flips in (0, 2, 7, 8):
-            _, flips, _ = _draw_responses(rng, (64,), max_flips)
-            assert np.all(flips % 2 == 0) and np.all(flips <= max_flips)
+            draw = _draw_trials(rng, 64, 2, max_flips=max_flips)
+            assert np.all(draw.flips % 2 == 0) and np.all(draw.flips <= max_flips)
+            assert draw.points.shape[-1] == 2 * (max_flips // 2)
         assert random_strategy(rng, 5).n_parties == 5
         draw = random_ensemble(rng, 4, max_strategies=2)
-        assert draw.points.shape[1] == 4 and 1 <= draw.owner.size <= 2
+        assert draw.flips.shape[1] == 4 and 1 <= draw.owner.size <= 2
         np.testing.assert_array_equal(draw.owner, 0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_random_ensemble_rejects_party_count(self, n):
+        with pytest.raises(InvalidSizeError, match="n_parties"):
+            random_ensemble(np.random.default_rng(17), n, 2)
+
+    @pytest.mark.parametrize("max_strategies", [0, -2, 1.5])
+    def test_random_ensemble_rejects_strategy_count(self, max_strategies):
+        with pytest.raises(DomainError, match="max_strategies"):
+            random_ensemble(np.random.default_rng(17), 3, max_strategies)
 
     def test_memory_does_not_grow_with_trials(self):
         tensor = ghz_planar_tensor(8, 0.7)
@@ -391,71 +477,83 @@ class TestBatchedSampler:
         assert peaks[1] - peaks[0] < 20 * 2**20
 
 
-class TestBitIdentity:
-    """The sampler against its references: same random stream, same values."""
+class TestLaw:
+    """The live-row sampler against the full-row sampler it replaced, kept
+    above as the reference: the same kernel values and the same law."""
 
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_draws_and_values_match_reference(self, n, monkeypatch):
+    def test_values_match_full_block_kernel(self, n):
+        # the same rows, scored by the reference over the whole block; the
+        # matrix product over fewer rows may round the last bit differently
         values = np.random.default_rng([30, n]).uniform(-1, 1, (2,) * n)
         for trials in (1, 2, 17, 300) + ((2000,) if n <= 8 else ()):
             draw = _draw_trials(np.random.default_rng([31, n, trials]), trials, n)
-            with monkeypatch.context() as patched:
-                patched.setattr(lhv, "_draw_responses", reference_draw_responses)
-                want = _draw_trials(np.random.default_rng([31, n, trials]), trials, n)
-            assert_draws_equal(draw, want)
-            np.testing.assert_array_equal(
-                _trial_values(draw, values), reference_trial_values(draw, values)
+            np.testing.assert_allclose(
+                _trial_values(draw, values),
+                reference_trial_values(padded_draw(draw), values),
+                rtol=1e-12,
+                atol=0.0,
             )
 
-    @pytest.mark.parametrize("max_flips", [0, 2, 7, 8])
-    def test_small_max_flips_match_reference(self, max_flips):
-        values = np.random.default_rng(33).uniform(-1, 1, (2,) * 4)
-        for seed in range(5):
-            got = _draw_responses(np.random.default_rng([34, seed]), (90, 4), max_flips)
-            want = reference_draw_responses(np.random.default_rng([34, seed]), (90, 4), max_flips)
-            assert_draws_equal(got, want)
-            draw = one_trial_draw(*got, np.full(90, 1 / 90))
-            np.testing.assert_array_equal(
-                _trial_values(draw, values), reference_trial_values(draw, values)
-            )
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_trial_values_follow_the_reference_law(self, n):
+        values = np.random.default_rng([32, n]).uniform(-1, 1, (2,) * n)
+        got = _trial_values(_draw_trials(np.random.default_rng([33, n]), 20_000, n), values)
+        ref = reference_draw_trials(np.random.default_rng([34, n]), 20_000, n)
+        assert ks_2samp(got, reference_trial_values(ref, values)).pvalue > 0.01
 
-    def test_redraw_path_matches_reference(self):
-        rng, ref = RepeatFirstDraw(35), RepeatFirstDraw(35)
-        assert_draws_equal(_draw_responses(rng, (50, 3)), reference_draw_responses(ref, (50, 3)))
-        assert rng.repeated and ref.repeated
-        assert rng.random() == ref.random()  # the same draws were consumed
+    @pytest.mark.parametrize("n", [1, 3, 5, 8])
+    def test_live_rows_flips_and_weights(self, n):
+        draw = _draw_trials(np.random.default_rng([35, n]), 20_000, n)
+        live = 0.8**n  # each party flips with probability 4/5
+        spread = 5.0 * math.sqrt(live * (1.0 - live) / draw.owner.size)
+        assert draw.live.size / draw.owner.size == pytest.approx(live, abs=spread)
+        flips = draw.flips[draw.live].ravel()
+        shares = np.bincount(flips, minlength=9)[::2] / flips.size
+        np.testing.assert_allclose(shares, [0.0, 0.25, 0.25, 0.25, 0.25], atol=0.01)
+        assert np.mean(draw.signs == 1.0) == pytest.approx(0.5, abs=0.01)
+        used = draw.points[np.arange(8) < draw.flips[draw.live][..., None]]
+        assert kstest(used / TWO_PI, "uniform").pvalue > 0.01
+        # dead rows keep their weight: only all rows together sum to 1
+        np.testing.assert_allclose(np.bincount(draw.owner, draw.weights), 1.0, atol=1e-12)
+        held = np.bincount(draw.owner[draw.live], draw.weights[draw.live], minlength=20_000)
+        assert np.mean(held) < 1.0 - 0.5 * (1.0 - live)
 
-    @pytest.mark.parametrize("n", [1, 3, 8])
-    def test_every_row_dead(self, n):
-        # a constant party in every row: each trial scores an exact zero
-        draw = _draw_trials(np.random.default_rng([36, n]), 50, n)
-        flips = draw.flips.copy()
-        flips[:, -1] = 0
-        dead = draw._replace(flips=flips)
-        values = np.random.default_rng(37).uniform(-1, 1, (2,) * n)
-        found = _trial_values(dead, values)
-        np.testing.assert_array_equal(found, reference_trial_values(dead, values))
-        np.testing.assert_array_equal(found, 0.0)
-
-    @pytest.mark.parametrize("include_optimal", [True, False])
-    def test_verify_bound_matches_reference(self, include_optimal, monkeypatch):
-        # the stress workload's kinds of input; at N = 8 the 1000 trials take two blocks
+    def test_no_trial_exceeds_the_bound(self):
+        # the stress workload's kinds of input: GHZ(4) at the paradox point,
+        # GHZ(8) and a generic 5-party tensor
         rng = np.random.default_rng(38)
         tensors = [ghz_planar_tensor(4, 0.34), ghz_planar_tensor(8, 0.6), random_tensor(rng, 5)]
         for seed, tensor in enumerate(tensors):
-            got = verify_bound(tensor, 1000, seed=seed, include_optimal=include_optimal)
-            with monkeypatch.context() as patched:
-                patched.setattr(lhv, "_draw_responses", reference_draw_responses)
-                patched.setattr(lhv, "_trial_values", reference_trial_values)
-                want = verify_bound(tensor, 1000, seed=seed, include_optimal=include_optimal)
-            assert got == want
+            n = tensor.n_parties
+            bound = 4.0**n * t_max(tensor).value
+            found = _trial_values(_draw_trials(np.random.default_rng(seed), 5000, n), tensor.values)
+            assert found.max() <= bound + 1e-8
+            report = verify_bound(tensor, 5000, seed=seed, include_optimal=False)
+            assert report.violations == 0
+            assert report.max_found == found.max()  # 5000 trials are one block
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_every_row_dead(self, n):
+        # no party flips: no row is live, no breakpoint is drawn, and every
+        # trial, or the one trial of an ensemble, scores 0.0
+        values = np.random.default_rng(37).uniform(-1, 1, (2,) * n)
+        draw = _draw_trials(np.random.default_rng([36, n]), 50, n, max_flips=0)
+        assert draw.live.size == 0 and draw.points.shape == (0, n, 0)
+        np.testing.assert_array_equal(_trial_values(draw, values), np.zeros(50))
+        tensor = CorrelationTensor(n, values)
+        one = _draw_trials(np.random.default_rng([36, n]), 1, n, max_flips=0)
+        assert ensemble_inner_product(one, tensor) == 0.0
+        ensembles = (random_ensemble(np.random.default_rng([39, s]), n) for s in range(100))
+        sampled = next(e for e in ensembles if e.live.size == 0)
+        assert ensemble_inner_product(sampled, tensor) == 0.0
 
     @pytest.mark.parametrize(
         "seed, expected",
-        [(0, 2320.779649625729), (1, 2835.5973629035398), (2, 1659.865598728113)],
+        [(0, 1313.0389816867025), (1, 3651.746855551851), (2, 2857.5041545092186)],
     )
     def test_seeded_stream_is_pinned(self, seed, expected):
-        # three blocks at N = 8; the values predate skipping constant rows
+        # one block at N = 8
         report = verify_bound(ghz_planar_tensor(8, 0.6), 1500, seed=seed, include_optimal=False)
         assert report.max_found == pytest.approx(expected, rel=1e-12)
 
