@@ -65,21 +65,21 @@ def sign_overlaps(breakpoints, flips, signs) -> np.ndarray:
     """Cos/sin overlaps of many sign functions at once, shape (..., 2).
 
     Each function is one row of ``breakpoints`` (last axis, sorted) whose
-    first ``flips`` entries, an even count, are its breakpoints; the rest
-    is padding and is never read.  ``signs`` holds the leading signs.
-    Integrating piecewise telescopes to the breakpoint terms alone,
+    first ``flips`` entries are its breakpoints; the rest is padding and
+    is never read.  ``signs`` holds the leading signs.  Integrating
+    piecewise telescopes to the breakpoint terms alone,
     a = 2s * sum_k (-1)^k sin(t_k) and b = -2s * sum_k (-1)^k cos(t_k),
-    summed here pair by pair, so constants project to exactly zero.
+    so constants project to exactly zero.
     """
     points = np.asarray(breakpoints, dtype=float)
     lead, width = points.shape[:-1], points.shape[-1]
-    counts = np.reshape(flips, -1)
-    used = np.arange(width) < counts[:, None]
-    t = np.compress(used.reshape(-1), points)
-    pairs = np.repeat(np.arange(counts.size), counts // 2)
-    sin, cos = np.sin(t), np.cos(t)
-    a = np.bincount(pairs, sin[0::2] - sin[1::2], minlength=counts.size)
-    b = np.bincount(pairs, cos[0::2] - cos[1::2], minlength=counts.size)
+    used = np.flatnonzero(np.arange(width) < np.reshape(flips, (-1, 1)))
+    rows, column = np.divmod(used, width)
+    t = points.reshape(-1)[used]
+    alt = 1.0 - 2.0 * (column & 1)
+    count = math.prod(lead)
+    a = np.bincount(rows, alt * np.sin(t), minlength=count)
+    b = np.bincount(rows, alt * np.cos(t), minlength=count)
     scale = 2.0 * np.reshape(signs, -1)
     return np.stack([scale * a, -scale * b], axis=-1).reshape(lead + (2,))
 

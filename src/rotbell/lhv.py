@@ -29,7 +29,6 @@ from .errors import DomainError, ShapeError
 from .functional_space import (
     _TWO_PI,
     ResponseFunction,
-    project,
     saturating_response,
     sign_overlaps,
 )
@@ -39,15 +38,17 @@ from .tensor_analysis import OptimizerConfig, sum_of_squares, t_max
 _MAX_FLIPS = 8
 _MAX_STRATEGIES = 4
 
-#: Floats one block of ``verify_bound`` trials may hold, on average.  A
-#: trial has (1 + _MAX_STRATEGIES) / 2 strategy rows on average; every
-#: row holds its owner, weight and N flip counts, and a live row (every
-#: party flips, probability (4/5)^N) also holds about 2^N contraction
-#: entries and eight sampling temporaries of _MAX_FLIPS breakpoints per
-#: party.  A block's live rows stay within a few percent of their mean,
-#: so the trials per block follow from N and memory does not grow with
-#: the trial count.  Each block draws its own arrays, so the block size
-#: is part of the seeded stream: changing it changes every seeded result.
+#: Floats one block of ``verify_bound`` trials holds on average.  A trial
+#: has (1 + _MAX_STRATEGIES) / 2 strategy rows on average; every row holds
+#: its owner, weight and N flip counts, and a live row (every party flips,
+#: probability (4/5)^N) also holds about 2^N contraction entries and eight
+#: sampling temporaries of _MAX_FLIPS breakpoints per party.  The trials
+#: per block follow from N alone, so a block's memory has the same law
+#: whatever the trial count; it is near its mean while a block holds many
+#: live rows, but for large N a block holds a few, and their count, thus
+#: its memory, can reach several times the mean.  Each block draws its own
+#: arrays, so the block size is part of the seeded stream: changing it
+#: changes every seeded result.
 _BLOCK_FLOATS = 2**21
 
 #: Slack added to the bound when counting violations (optimizer accuracy).
@@ -97,7 +98,12 @@ def lr_inner_product(strategy: DeterministicStrategy, tensor: CorrelationTensor)
         raise ShapeError(
             f"{strategy.n_parties}-party strategy against {tensor.n_parties}-party tensor"
         )
-    overlaps = np.array([project(r) for r in strategy.responses])
+    responses = strategy.responses
+    flips = [len(r.breakpoints) for r in responses]
+    points = np.zeros((len(flips), max(flips)))  # rows padded to the widest
+    for row, r in zip(points, responses):
+        row[: len(r.breakpoints)] = r.breakpoints
+    overlaps = sign_overlaps(points, flips, [r.leading_sign for r in responses])
     return float(product_contraction(tensor.values, overlaps))
 
 
@@ -208,17 +214,6 @@ def _trial_values(draw: _TrialDraw, values: np.ndarray) -> np.ndarray:
     return np.bincount(draw.owner[live], rows, minlength=draw.owner[-1] + 1)
 
 
-def _saturating_value(maximizer: np.ndarray, values: np.ndarray) -> float:
-    """The saturating strategy's inner product, its N responses as one kernel call."""
-    responses = _saturating_strategy(maximizer).responses
-    overlaps = sign_overlaps(
-        [r.breakpoints for r in responses],
-        np.full(len(responses), 2),
-        [r.leading_sign for r in responses],
-    )
-    return float(product_contraction(values, overlaps))
-
-
 def _check_count(name: str, count, low: int) -> None:
     if not isinstance(count, numbers.Integral) or count < low:
         raise DomainError(f"{name} must be an integer >= {low}, got {count!r}")
@@ -259,10 +254,11 @@ def verify_bound(
     weights, then padded sorted breakpoints and leading signs for the live
     rows alone) and scored by one overlap kernel and one contraction over
     the live rows, in blocks of a fixed number of trials set by N (see
-    ``_BLOCK_FLOATS``), so memory does not grow with ``trial_count``.  A
+    ``_BLOCK_FLOATS``), so memory per block does not grow with
+    ``trial_count``.  A
     strategy with a constant party scores an exact zero, so its
     breakpoints are never drawn.  The saturating strategy is scored by the
-    same kernel, its N responses stacked as rows.
+    same kernel, its N responses stacked as rows by ``lr_inner_product``.
     """
     _check_count("trial_count", trial_count, 1)
     _check_count("seed", seed, 0)
@@ -282,7 +278,7 @@ def verify_bound(
         max_found = max(max_found, float(found.max()))
         violations += int(np.count_nonzero(found > bound + BOUND_TOLERANCE))
     if include_optimal:
-        value = _saturating_value(top.maximizer, values)
+        value = lr_inner_product(_saturating_strategy(top.maximizer), tensor)
         max_found = max(max_found, value)
         violations += int(value > bound + BOUND_TOLERANCE)
 

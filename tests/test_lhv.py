@@ -29,12 +29,11 @@ from rotbell import (
     verify_bound,
 )
 from rotbell.correlation import product_contraction
-from rotbell.functional_space import sign_overlaps
+from rotbell.functional_space import project, sign_overlaps
 from rotbell.lhv import (
     _draw_breakpoints,
     _draw_trials,
     _saturating_strategy,
-    _saturating_value,
     _trial_values,
     _TrialDraw,
 )
@@ -103,27 +102,12 @@ def reference_draw_trials(rng, trials, n, max_strategies=4):
     return ReferenceDraw(owner, points, flips, signs, mass / np.bincount(owner, mass)[owner])
 
 
-def reference_sign_overlaps(points, flips, signs):
-    """The overlap kernel summing term by term, with alternating signs."""
-    width = points.shape[-1]
-    used = np.flatnonzero(np.arange(width) < np.reshape(flips, (-1, 1)))
-    rows, column = np.divmod(used, width)
-    t = points.reshape(-1)[used]
-    alt = 1.0 - 2.0 * (column & 1)
-    a = np.bincount(rows, alt * np.sin(t), minlength=flips.size)
-    b = np.bincount(rows, alt * np.cos(t), minlength=flips.size)
-    scale = 2.0 * np.reshape(signs, -1)
-    return np.stack([scale * a, -scale * b], axis=-1).reshape(flips.shape + (2,))
-
-
 def reference_trial_values(draw, values):
     """The full-block kernel: overlaps for the live rows, then the
     contraction of every row of the block, dead rows included."""
     live = draw.flips.min(axis=1) > 0
     overlaps = np.zeros(draw.points.shape[:2] + (2,))
-    overlaps[live] = reference_sign_overlaps(
-        draw.points[live], draw.flips[live], draw.signs[live]
-    )
+    overlaps[live] = sign_overlaps(draw.points[live], draw.flips[live], draw.signs[live])
     return np.bincount(draw.owner, draw.weights * product_contraction(values, overlaps))
 
 
@@ -303,17 +287,20 @@ class TestOptimalStrategy:
                 _, value = optimal_strategy(tensor)
                 assert value / (4.0**n * top) == pytest.approx(1.0, abs=1e-8)
 
-
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_saturating_value_matches_lr_inner_product(self, n):
-        # verify_bound scores the saturating strategy as N stacked kernel rows
+    def test_stacked_responses_match_per_party_projections(self, n):
+        # lr_inner_product scores the N responses as one kernel call over
+        # rows padded to the widest; each row sums alone, so it matches the
+        # contraction of N separate projections bit for bit
         rng = np.random.default_rng([40, n])
         tensor = random_tensor(rng, n)
-        for _ in range(60):
+        for k in range(60):
             maximizer = rng.normal(size=(n, 2))
             maximizer /= np.linalg.norm(maximizer, axis=1, keepdims=True)
-            strategy = _saturating_strategy(maximizer)
-            assert _saturating_value(maximizer, tensor.values) == lr_inner_product(strategy, tensor)
+            strategy = _saturating_strategy(maximizer) if k % 2 else random_strategy(rng, n)
+            overlaps = np.array([project(r) for r in strategy.responses])
+            expected = float(product_contraction(tensor.values, overlaps))
+            assert lr_inner_product(strategy, tensor) == expected
 
 
 class TestVerifyBound:
@@ -550,7 +537,7 @@ class TestLaw:
 
     @pytest.mark.parametrize(
         "seed, expected",
-        [(0, 1313.0389816867025), (1, 3651.746855551851), (2, 2857.5041545092186)],
+        [(0, 1313.0389816867034), (1, 3651.74685555185), (2, 2857.504154509218)],
     )
     def test_seeded_stream_is_pinned(self, seed, expected):
         # one block at N = 8
