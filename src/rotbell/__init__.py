@@ -3,6 +3,8 @@ multiqubit spin correlations: noisy-GHZ correlation tensors, the
 generalized Bell bound, and the visibility window where two-setting
 local models exist but cannot be mutually consistent."""
 
+import types
+
 from .correlation import (
     CorrelationTensor,
     correlation_function,
@@ -60,51 +62,9 @@ from .tensor_analysis import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOUND_TOLERANCE",
-    "BoundVerification",
-    "BudgetError",
-    "CorrelationTensor",
-    "CriterionReport",
-    "DensityMatrix",
-    "DeterministicStrategy",
-    "DomainError",
-    "GhzThresholds",
-    "InvalidSizeError",
-    "NoisyPureState",
-    "OptimizerConfig",
-    "PROJECTION_NORM_BOUND",
-    "REGION_LOCAL",
-    "REGION_NONLOCAL",
-    "REGION_PARADOX",
-    "ResponseFunction",
-    "RotbellError",
-    "ScanPoint",
-    "ShapeError",
-    "StateVector",
-    "TMaxResult",
-    "analytic_inner_product",
-    "build_ghz",
-    "classify",
-    "correlation_function",
-    "correlation_value",
-    "ensemble_inner_product",
-    "ghz_planar_tensor",
-    "ghz_scan",
-    "ghz_thresholds",
-    "lr_inner_product",
-    "mix_with_white_noise",
-    "optimal_strategy",
-    "pauli_expectation",
-    "project",
-    "quadrature_inner_product",
-    "random_ensemble",
-    "ri_criterion",
-    "rotate_frames",
-    "saturating_response",
-    "sum_of_squares",
-    "t_max",
-    "tensor_from_state",
-    "two_setting_model_exists",
-    "verify_bound",
-]
+# the imports above are the one list of public names, less the submodules they bind
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -16,14 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-from .states import (
-    MAX_STATE_PARTIES,
-    MixedState,
-    _check_party_count,
-    contract,
-    planar_expectations,
-)
+from .errors import DomainError, ShapeError, _check_party_count, _is_integer
+from .states import MAX_STATE_PARTIES, MixedState, contract, planar_expectations
 
 _ENTRY_BOUND = 1.0 + 1e-9
 
@@ -57,7 +51,7 @@ class CorrelationTensor:
             raise ShapeError(
                 f"multi-index length {len(multi_index)} != n_parties {self.n_parties}"
             )
-        if any(i not in (1, 2) for i in multi_index):
+        if any(not _is_integer(i) or i not in (1, 2) for i in multi_index):
             raise DomainError(f"planar indices must be 1 or 2, got {tuple(multi_index)}")
         return float(self.values[tuple(i - 1 for i in multi_index)])
 
@@ -80,8 +74,6 @@ class CorrelationTensor:
             entries = {key: float(value) for key, value in entries.items()}
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed tensor document: {exc}") from None
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise DomainError(f"malformed tensor document: n must be an integer, got {n!r}")
         _check_party_count(n, MAX_STATE_PARTIES)
         vals = np.zeros((2,) * n)
         for key, value in entries.items():

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationTensor
-from .errors import DomainError
+from .errors import DomainError, _check_count, _check_party_count
 from .lhv import _two_setting_holds
-from .states import MAX_STATE_PARTIES, _check_party_count
+from .states import MAX_STATE_PARTIES
 from .tensor_analysis import OptimizerConfig, _check_start_count, sum_of_squares, t_max
 
 REGION_LOCAL = "LOCAL"
@@ -133,8 +133,7 @@ def ghz_scan(
         raise DomainError(
             f"need 0 <= v_min <= v_max <= 1, got v_min={v_min}, v_max={v_max}"
         )
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
+    _check_count("steps", steps)
     if steps > np.iinfo(np.intp).max // 8:  # past intp.max bytes numpy raises ValueError
         raise DomainError(f"steps={steps} is more than numpy can address")
     _check_party_count(n_parties, MAX_STATE_PARTIES)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check for integer counts."""
+
+import math
+import numbers
 
 
 class RotbellError(Exception):
@@ -19,3 +22,22 @@ class ShapeError(RotbellError, ValueError):
 
 class BudgetError(RotbellError):
     """A computation would exceed its configured evaluation budget."""
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool, a float or a string is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, low: int = 1, cap: float = math.inf, error=DomainError) -> None:
+    """Raise ``error`` unless ``value`` is an integer in [low, cap]."""
+    if type(value) is not int and not _is_integer(value):  # the exact type first: it is cheap
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    if value > cap:
+        raise error(f"{name}={value} exceeds the configured cap of {cap}")
+
+
+def _check_party_count(n_parties: int, cap: float = math.inf) -> None:
+    _check_count("n_parties", n_parties, 1, cap, InvalidSizeError)

@@ -17,8 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
-from .states import _check_party_count
+from .errors import BudgetError, DomainError, _check_count, _check_party_count
 
 _TWO_PI = 2.0 * math.pi
 
@@ -123,8 +122,7 @@ def quadrature_inner_product(
     ``max_evaluations``.
     """
     _check_party_count(n_parties)
-    if nodes_per_axis < 8:
-        raise DomainError(f"nodes_per_axis must be >= 8, got {nodes_per_axis}")
+    _check_count("nodes_per_axis", nodes_per_axis, 8)
     if nodes_per_axis**n_parties > max_evaluations:
         raise BudgetError(
             f"{nodes_per_axis}^{n_parties} grid nodes exceed the budget of "

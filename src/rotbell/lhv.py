@@ -18,21 +18,20 @@ party flips, have their breakpoints drawn and scored.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .correlation import CorrelationTensor, product_contraction
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, _check_count, _check_party_count
 from .functional_space import (
     _TWO_PI,
     ResponseFunction,
     saturating_response,
     sign_overlaps,
 )
-from .states import _TOL, _check_party_count
+from .states import _TOL
 from .tensor_analysis import OptimizerConfig, sum_of_squares, t_max
 
 _MAX_FLIPS = 8
@@ -214,17 +213,12 @@ def _trial_values(draw: _TrialDraw, values: np.ndarray) -> np.ndarray:
     return np.bincount(draw.owner[live], rows, minlength=draw.owner[-1] + 1)
 
 
-def _check_count(name: str, count, low: int) -> None:
-    if not isinstance(count, numbers.Integral) or count < low:
-        raise DomainError(f"{name} must be an integer >= {low}, got {count!r}")
-
-
 def random_ensemble(
     rng: np.random.Generator, n_parties: int, max_strategies: int = _MAX_STRATEGIES
 ) -> _TrialDraw:
     """Sample one ensemble as a one-trial draw of ``verify_bound``'s sampler."""
     _check_party_count(n_parties)
-    _check_count("max_strategies", max_strategies, 1)
+    _check_count("max_strategies", max_strategies)
     return _draw_trials(rng, 1, n_parties, max_strategies)
 
 
@@ -260,7 +254,7 @@ def verify_bound(
     breakpoints are never drawn.  The saturating strategy is scored by the
     same kernel, its N responses stacked as rows by ``lr_inner_product``.
     """
-    _check_count("trial_count", trial_count, 1)
+    _check_count("trial_count", trial_count)
     _check_count("seed", seed, 0)
     n = tensor.n_parties
     top = t_max(tensor, config)

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, InvalidSizeError, ShapeError
+from .errors import DomainError, ShapeError, _check_party_count
 
 # Memory cap: a state vector, and a white-noise mixture kept as one, has
 # 2^N amplitudes.
@@ -30,13 +30,6 @@ _AXES = {
     "y": (1, np.array([1j, -1j], dtype=complex)),
     "z": (0, np.array([1, -1], dtype=complex)),
 }
-
-
-def _check_party_count(n_parties: int, cap: float = math.inf) -> None:
-    if n_parties < 1:
-        raise InvalidSizeError(f"n_parties must be >= 1, got {n_parties}")
-    if n_parties > cap:
-        raise InvalidSizeError(f"n_parties={n_parties} exceeds the configured cap of {cap}")
 
 
 @dataclass(frozen=True, eq=False)

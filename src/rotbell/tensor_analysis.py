@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationTensor, product_contraction
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, _check_count
 from .functional_space import _TWO_PI
 from .states import contract
 
@@ -35,7 +35,7 @@ _FOURIER_ROWS = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / 2
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the alternating maximizer, all nonnegative.
+    """Settings for the alternating maximizer, all nonnegative integers.
 
     ``random_starts`` random starts from one generator seeded with ``seed``
     join 2N axis-aligned starts and one at the largest-magnitude basis entry
@@ -48,8 +48,8 @@ class OptimizerConfig:
     max_sweeps: int = 1000
 
     def __post_init__(self):
-        if min(self.random_starts, self.seed, self.max_sweeps) < 0:
-            raise DomainError(f"settings must be >= 0: {self}")
+        for name in ("random_starts", "seed", "max_sweeps"):
+            _check_count(name, getattr(self, name), 0)
 
 
 @dataclass(frozen=True, eq=False)

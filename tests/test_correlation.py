@@ -316,6 +316,11 @@ class TestTensorLayoutAndJson:
             tensor.entry((0, 1))
         with pytest.raises(ShapeError):
             tensor.entry((1, 1, 1))
+        # integers only: 1.0 and True compare equal to 1 but are no planar index
+        for index in ((1.0, 2), (2, 2.0), (True, 1), (1, False), (np.float64(1), 1), ("1", 1)):
+            with pytest.raises(DomainError, match="planar indices must be 1 or 2"):
+                tensor.entry(index)
+        assert tensor.entry((np.int64(2), np.int64(2))) == tensor.entry((2, 2))
 
     def test_json_rejects_non_numeric_entries(self):
         for entries in ({"11": "abc"}, {"11": None}, {"11": [1.0]}, [1], "11",
