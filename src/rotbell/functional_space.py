@@ -12,6 +12,7 @@ products, exact for trigonometric polynomials of low per-axis degree.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -47,7 +48,8 @@ class ResponseFunction:
             raise DomainError("breakpoints must lie in [0, 2*pi)")
         if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
             raise DomainError("breakpoints must be strictly increasing")
-        if leading_sign not in (1, -1):  # compared, not truncated: 1.5 is no sign
+        # compared, not truncated: 1.5 is no sign, and neither is a bool
+        if isinstance(leading_sign, (bool, np.bool_)) or leading_sign not in (1, -1):
             raise DomainError(f"leading_sign must be +1 or -1, got {leading_sign}")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "leading_sign", int(leading_sign))
@@ -123,6 +125,9 @@ def quadrature_inner_product(
     """
     _check_party_count(n_parties)
     _check_count("nodes_per_axis", nodes_per_axis, 8)
+    budget = max_evaluations  # an int or a float such as 1e8; a bool, a string or NaN is none
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Real) or not budget > 0:
+        raise DomainError(f"max_evaluations must be a number > 0, got {budget!r}")
     if nodes_per_axis**n_parties > max_evaluations:
         raise BudgetError(
             f"{nodes_per_axis}^{n_parties} grid nodes exceed the budget of "

@@ -2,13 +2,15 @@
 
 The maximum of the correlation function over all product settings is the
 largest contraction of the tensor with per-party unit 2-vectors.  It is
-found by alternating maximization (the higher-order power method): with
-all parties but one fixed, the partial contraction is a 2-vector whose
-normalization is the exact per-party optimum, so each step is
-closed-form and the objective never decreases.  Deterministic
-multistart (seeded random starts plus axis-aligned ones) guards against
-local maxima.  A closed-form Fourier bound caps the maximum from above;
-where it meets the value found, the value is proven to be the maximum.
+found by alternating maximization over blocks of parties: with the others
+fixed, one party's contraction is a 2-vector whose normalization is its
+exact optimum, and two parties' is a 2x2 matrix whose top singular pair,
+in closed form, is theirs.  So each step is exact for its block and the
+objective never decreases; a pair also moves along the ridges
+a_j + a_k = const of GHZ-like tensors, where one party at a time crawls.
+Deterministic multistart (seeded random starts plus axis-aligned ones)
+guards against local maxima.  A closed-form Fourier bound caps the maximum
+from above; where it meets the value found, the value is proven maximal.
 """
 
 from __future__ import annotations
@@ -32,6 +34,14 @@ _IMPROVEMENT_TOL = 1e-13
 #: Rows u+ = (1, -i)/2 and u- = (1, i)/2: (cos a, sin a) = e^{ia} u+ + e^{-ia} u-.
 _FOURIER_ROWS = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / 2
 
+#: Q's entries (q00, q01, q10, q11) -> (Re z1, Im z1, Re z2, Im z2), where
+#: 2 z1 = q00 + q11 + i(q10 - q01) and 2 z2 = q00 - q11 + i(q10 + q01):
+#: u(a).Q.u(b) = |z1| cos(a - b - arg z1) + |z2| cos(a + b - arg z2).
+_PAIR_ROWS = np.array([[1, 0, 1, 0], [0, -1, 0, 1], [0, 1, 0, 1], [1, 0, -1, 0]]) / 2
+
+#: (arg z1, arg z2) -> the angles (a, b) at which both cosines are 1: Q's top singular pair.
+_PAIR_TURNS = np.array([[0.5, -0.5], [0.5, 0.5]])
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -40,7 +50,8 @@ class OptimizerConfig:
     ``random_starts`` random starts from one generator seeded with ``seed``
     join 2N axis-aligned starts and one at the largest-magnitude basis entry
     (so the result is at least that entry).  Each runs at most ``max_sweeps``
-    sweeps and converges once a sweep gains less than ``_IMPROVEMENT_TOL``.
+    sweeps, a sweep stepping every party once, two at a time (``_ascend``),
+    and converges once a sweep gains less than ``_IMPROVEMENT_TOL``.
     """
 
     random_starts: int = 64
@@ -61,7 +72,8 @@ class TMaxResult:
     and ``upper`` an upper bound.  ``certified`` holds when ``upper - value
     <= CERTIFY_RTOL * upper``: then ``value`` is proven to be T_max and
     ``converged`` holds, else that flag means the winning start converged.
-    ``iterations`` sums the sweeps run: none if a start met the bound at once.
+    ``iterations`` sums the sweeps run over all starts, each sweep one step
+    for every party (``_ascend``): none if a start met the bound at once.
     Ties go to the first start.  When the corner start meets the bound, it
     wins and no other start is drawn, which differs from the whole batch only
     where another start begins within CERTIFY_RTOL / 2 above it.
@@ -82,12 +94,16 @@ class TMaxResult:
 
 
 def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, target: float):
-    """Alternating per-party maximization from every start at once.
+    """Alternating maximization by exact block steps from every start at once.
 
-    ``starts`` is an (S, N, 2) array of directions.  Party j's gradient is
-    the running contraction P_j (P_0 = T, P_{j+1} = d_j . P_j over its first
-    axis) times the Kronecker row of the old directions of parties > j.  A
-    row leaves the batch at its own convergence, as a lone ascent would; the
+    ``starts`` is an (S, N, 2) array of directions.  A sweep steps the
+    blocks (0, 1), (2, 3), ... on even sweeps and (0), (1, 2), (3, 4), ...
+    on odd ones, an unpaired last party alone.  A block's gradient is the
+    running contraction P_j (P_0 = T, P_{j+1} = d_j . P_j over its first
+    axis) times the Kronecker row of the old directions of the parties after
+    it: for one party a 2-vector, normalized; for a pair a 2x2 matrix Q,
+    whose top singular pair and value |z1| + |z2| come from ``_PAIR_ROWS``.
+    A row leaves the batch at its own convergence, as a lone ascent would; the
     batch stops, checked before every sweep, once a value reaches ``target``.
     Active rows stay compact across sweeps, written back only as some leave.
     Returns the directions, values, sweeps run and convergence flags.
@@ -108,14 +124,24 @@ def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, target: flo
         for j in range(n - 1, 0, -1):
             suffixes.append((sub[:, j, :, None] * suffixes[-1][:, None, :]).reshape(rows, -1))
         partial = whole[:rows]
-        for j in range(n):
-            half = partial.reshape(rows, 2, -1)
-            grad = np.einsum("sar,sr->sa", half, suffixes[n - 1 - j])
-            norm = np.hypot(grad[:, 0], grad[:, 1])
-            # zero gradient: any direction is optimal, keep the previous one
-            np.divide(grad, norm[:, None], out=sub[:, j], where=norm[:, None] > 0.0)
-            if j < n - 1:
-                partial = np.einsum("sa,sar->sr", sub[:, j], half)
+        edges = sorted({0, *range(sweep % 2, n, 2), n})
+        for j, end in zip(edges, edges[1:]):
+            block = partial.reshape(rows, 2 ** (end - j), -1)
+            grad = np.einsum("skr,sr->sk", block, suffixes[n - end])
+            if end == j + 1:
+                norm = np.hypot(grad[:, 0], grad[:, 1])
+                # zero gradient: any direction is optimal, keep the previous one
+                np.divide(grad, norm[:, None], out=sub[:, j], where=norm[:, None] > 0.0)
+                step = sub[:, j]
+            else:
+                z = (grad @ _PAIR_ROWS).view(complex)
+                size = np.abs(z)
+                norm = size[:, 0] + size[:, 1]
+                turn = np.angle(z) @ _PAIR_TURNS
+                sub[:, j:end, 0], sub[:, j:end, 1] = np.cos(turn), np.sin(turn)
+                step = (sub[:, j, :, None] * sub[:, j + 1, None, :]).reshape(rows, 4)
+            if end < n:
+                partial = np.einsum("sk,skr->sr", step, block)
         sweep += 1
         done = norm - now < _IMPROVEMENT_TOL
         now = norm

@@ -76,6 +76,11 @@ class TestResponseFunction:
             got = ResponseFunction((), sign).leading_sign
             assert type(got) is int and got == sign
 
+    @pytest.mark.parametrize("sign", [True, False, np.bool_(True), np.bool_(False)])
+    def test_bool_is_no_sign(self, sign):
+        with pytest.raises(DomainError, match="leading_sign must be"):
+            ResponseFunction((), sign)
+
     def test_constant(self):
         one = ResponseFunction((), 1)
         np.testing.assert_array_equal(one(np.linspace(0, TWO_PI, 9)), 1.0)
@@ -224,6 +229,23 @@ class TestQuadratureInnerProduct:
         assert quadrature_inner_product(fn, fn, 4, 32, max_evaluations=32**4) == pytest.approx(
             math.pi**4 * 0.25 * 8, rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "budget", ["9", "1e8", True, False, np.bool_(True), math.nan, 0, -1, 0.0, -1e8, None]
+    )
+    def test_rejects_bad_budget(self, budget):
+        with pytest.raises(DomainError, match="max_evaluations must be a number > 0, got "):
+            quadrature_inner_product(np.cos, np.cos, 1, 8, max_evaluations=budget)
+
+    @pytest.mark.parametrize("budget", [8, 1e8, np.int64(8), np.float64(8.0), 8.5, math.inf])
+    def test_accepts_int_and_float_budgets(self, budget):
+        assert quadrature_inner_product(np.cos, np.cos, 1, 8, max_evaluations=budget) == pytest.approx(
+            math.pi, rel=1e-14
+        )
+
+    def test_float_budget_still_guards(self):
+        with pytest.raises(BudgetError, match=r"8\^2 grid nodes exceed the budget of 63.5"):
+            quadrature_inner_product(np.cos, np.cos, 2, 8, max_evaluations=63.5)
 
     def test_node_count_floor(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Tests for the planar maximizer and tensor inner products."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -66,7 +67,7 @@ def fft_fourier_bound(values):
 
 def reference_ascent(values, start, max_sweeps, tol):
     """One-start alternating maximization, party by party with tensordot:
-    the oracle for the batched kernel."""
+    the ascent before pair steps, kept as a value oracle."""
     n = values.ndim
     ds = start.copy()
     value = float(product_contraction(values, ds))
@@ -87,9 +88,9 @@ def reference_ascent(values, start, max_sweeps, tol):
 
 
 def reference_batched_ascent(values, starts, max_sweeps, tol, target):
-    """The batched ascent as it was before its rows stayed compact across
-    sweeps: gather the active rows and scatter them back every sweep.  The
-    arithmetic is the same, so results must agree bit for bit."""
+    """The per-party ascent batched as the kernel ran it before pair steps,
+    gathering and scattering the active rows every sweep: the value oracle
+    where ``reference_ascent`` is too slow (near-GHZ, 1,000 sweeps)."""
     n = values.ndim
     ds = starts.copy()
     count = len(ds)
@@ -123,6 +124,86 @@ def reference_batched_ascent(values, starts, max_sweeps, tol, target):
         converged[active[done]] = True
         active = active[~done]
     return ds, value, sweeps, converged
+
+
+def pair_reference(values, start, max_sweeps, tol):
+    """One-start ascent by exact blocks, unbatched: the oracle for the kernel.
+
+    Sweep k visits the pairs (0, 1), (2, 3), ... for even k and (0), (1, 2),
+    (3, 4), ... for odd k, an unpaired last party alone.  A pair takes the top
+    singular pair of its 2x2 gradient from np.linalg.svd, not from the
+    kernel's closed form.  Returns the (directions, value) before the first
+    sweep and after each one, and whether the last sweep gained under tol.
+    """
+    n = values.ndim
+    ds = start.copy()
+    value = float(product_contraction(values, ds))
+    history = [(ds.copy(), value)]
+    for sweep in range(max_sweeps):
+        previous = value
+        edges = sorted({0, *range(sweep % 2, n, 2), n})
+        for lo, hi in zip(edges, edges[1:]):
+            grad = values
+            for k in range(n - 1, -1, -1):
+                if not lo <= k < hi:
+                    grad = np.tensordot(grad, ds[k], axes=([k], [0]))
+            if hi - lo == 2:
+                u, sigma, vt = np.linalg.svd(grad)
+                ds[lo], ds[lo + 1], value = u[:, 0], vt[0], float(sigma[0])
+            else:
+                norm = float(np.hypot(grad[0], grad[1]))
+                if norm > 0.0:
+                    ds[lo] = grad / norm
+                value = norm if norm > 0.0 else float(grad @ ds[lo])
+        history.append((ds.copy(), value))
+        if value - previous < tol:
+            return history, True
+    return history, False
+
+
+FAMILIES = {f.__name__: f for f in (random_tensor, haar_tensor, single_entry_tensor)}
+
+
+@functools.lru_cache(maxsize=None)
+def pair_case(family, n, random_starts):
+    """A seeded tensor, its starts and every start's unstopped pair_reference run."""
+    rng = np.random.default_rng([n, random_starts, len(family), 89])
+    values = FAMILIES[family](rng, n).values
+    starts = _start_points(values, OptimizerConfig(random_starts=random_starts, seed=n))
+    return values, starts, [pair_reference(values, s, 1000, _IMPROVEMENT_TOL) for s in starts]
+
+
+def stopped_runs(runs, max_sweeps, target):
+    """What a batch of these lone runs returns under the kernel's stop: before
+    sweep k it stops once a row, counted at min(k, its last sweep), reaches
+    ``target``.  Returns each row's directions, value, sweeps and convergence."""
+    ends = np.array([len(history) - 1 for history, _ in runs])
+    reach = np.array([[v for _, v in h] + [h[-1][1]] * (ends.max() - e) for (h, _), e in zip(runs, ends)])
+    over = np.flatnonzero(reach.max(axis=0)[:max_sweeps] >= target)
+    stop = int(over[0]) if over.size else max_sweeps
+    sweeps = np.minimum(ends, stop)
+    ds = np.array([h[k][0] for (h, _), k in zip(runs, sweeps)])
+    converged = np.array([c and e <= stop for (_, c), e in zip(runs, ends)])
+    return ds, reach[np.arange(len(runs)), sweeps], sweeps, converged
+
+
+def kron_all(directions):
+    return functools.reduce(np.kron, directions)
+
+
+def assert_rows_match(got, want):
+    """Row by row to 1e-12.  Where a sweep's gain falls within rounding of
+    _IMPROVEMENT_TOL, a row may stop one sweep apart from the oracle (6 of
+    2,016 rows across the oracle cases); its value still agrees to 1e-12, and
+    every other row also in its directions, compared as their product tensor
+    since a pair's two directions are fixed only up to a common sign."""
+    (ds, values, sweeps, converged), (want_ds, want_values, want_sweeps, want_converged) = got, want
+    np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-12)
+    same = sweeps == want_sweeps
+    assert np.all(np.abs(sweeps - want_sweeps) <= 1) and same.mean() >= 0.9
+    np.testing.assert_array_equal(converged[same], want_converged[same])
+    for got_row, want_row in zip(ds[same], want_ds[same]):
+        np.testing.assert_allclose(kron_all(got_row), kron_all(want_row), rtol=0, atol=1e-12)
 
 
 class TestTMax:
@@ -234,31 +315,30 @@ class TestTMax:
 class TestBatchedAscent:
     @pytest.mark.parametrize("random_starts", [0, 64])
     @pytest.mark.parametrize("n", range(1, 8))
-    @pytest.mark.parametrize("family", [random_tensor, haar_tensor, single_entry_tensor])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_best_reference_start(self, family, n, random_starts):
-        rng = np.random.default_rng([n, random_starts, len(family.__name__)])
-        tensor = family(rng, n)
+        values, starts, runs = pair_case(family, n, random_starts)
         cfg = OptimizerConfig(random_starts=random_starts, seed=n)
-        starts = _start_points(tensor.values, cfg)
-        runs = [
-            reference_ascent(tensor.values, start, cfg.max_sweeps, _IMPROVEMENT_TOL)
-            for start in starts
-        ]
-        # each row stops at its own convergence, as a lone ascent would; a
-        # slowly converging row stops within a few _IMPROVEMENT_TOL of its
-        # maximum, so rows agree to 1e-10, not to rounding
-        _, values, sweeps, converged = _ascend(tensor.values, starts, cfg.max_sweeps, math.inf)
-        np.testing.assert_allclose(values, [r[1] for r in runs], rtol=0, atol=1e-10)
-        assert np.max(np.abs(sweeps - [r[2] for r in runs])) <= 1
-        np.testing.assert_array_equal(converged, [r[3] for r in runs])
+        # each row stops at its own convergence, as a lone ascent would
+        got = _ascend(values, starts, cfg.max_sweeps, math.inf)
+        assert_rows_match(got, stopped_runs(runs, cfg.max_sweeps, math.inf))
         # the best start, the earliest one on a tie
-        best = max(range(len(runs)), key=lambda i: (runs[i][1], -i))
-        result = t_max(tensor, cfg)
-        assert result.value == pytest.approx(runs[best][1], abs=1e-12)
+        best = max(range(len(runs)), key=lambda i: (runs[i][0][-1][1], -i))
+        result = t_max(CorrelationTensor(n, values), cfg)
+        assert result.value == pytest.approx(runs[best][0][-1][1], abs=1e-12)
         assert result.starts_used == len(runs)
-        assert result.converged == (runs[best][3] or result.certified)
-        assert result.upper == max(_fourier_bound(tensor.values), result.value)
+        assert result.converged == (runs[best][1] or result.certified)
+        assert result.upper == max(_fourier_bound(values), result.value)
         assert result.certified == (result.upper - result.value <= CERTIFY_RTOL * result.upper)
+
+    @pytest.mark.parametrize("random_starts", [0, 64])
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_never_below_per_party_ascent(self, family, n, random_starts):
+        values, starts, _ = pair_case(family, n, random_starts)
+        result = t_max(CorrelationTensor(n, values), OptimizerConfig(random_starts=random_starts, seed=n))
+        per_party = max(reference_ascent(values, s, 1000, _IMPROVEMENT_TOL)[1] for s in starts)
+        assert result.value >= per_party - 1e-12 * result.upper
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_zero_tensor_keeps_first_start(self, n):
@@ -269,33 +349,68 @@ class TestBatchedAscent:
         assert result.iterations == 0
 
 
-class TestAscentOracle:
-    @staticmethod
-    def first_to_leave(values, starts, tol):
-        """Value of the first row to converge in an unstopped ascent: it
-        reaches that value on the sweep it leaves the batch."""
-        _, found, sweeps, converged = reference_batched_ascent(values, starts, 1000, tol, math.inf)
-        return found[np.argmin(np.where(converged, sweeps, 1001))]
+def rotation(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
 
+
+PAIR_MATRICES = {
+    "zero": np.zeros((2, 2)),
+    "rotation": rotation(0.7),
+    "reflection": rotation(0.7) @ np.diag([1.0, -1.0]),
+    "scaled rotation": -0.3 * rotation(2.5),
+    "rank 1": np.outer([0.6, -0.8], [0.28, 0.96]),
+    "rank 1 on an axis": np.array([[0.0, 0.0], [0.0, -0.4]]),
+    "diagonal": np.diag([0.2, -0.9]),
+}
+
+
+class TestPairStep:
+    """At N = 2 one sweep is one pair step: the top singular pair of T."""
+
+    @staticmethod
+    def assert_top_singular_pair(q):
+        start = np.array([[[0.6, 0.8], [-1.0, 0.0]]])
+        ds, value, sweeps, converged = _ascend(q, start, 1, math.inf)
+        sigma = np.linalg.svd(q, compute_uv=False)[0]
+        assert sweeps[0] == 1
+        assert value[0] == pytest.approx(sigma, abs=4e-15)
+        np.testing.assert_allclose(np.linalg.norm(ds[0], axis=1), 1.0, rtol=0, atol=1e-15)
+        # the directions attain it, whatever the singular vectors' signs
+        assert ds[0, 0] @ q @ ds[0, 1] == pytest.approx(sigma, abs=4e-15)
+
+    @pytest.mark.parametrize("name", PAIR_MATRICES)
+    def test_special_matrices(self, name):
+        self.assert_top_singular_pair(PAIR_MATRICES[name])
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(97)
+        for q in rng.normal(size=(500, 2, 2)):
+            self.assert_top_singular_pair(q)
+
+
+class TestAscentOracle:
     @pytest.mark.parametrize("max_sweeps", [0, 1, 1000])
     @pytest.mark.parametrize("target", ["inf", "fourier", "first to leave"])
     @pytest.mark.parametrize("random_starts", [0, 64])
     @pytest.mark.parametrize("n", range(1, 9))
-    @pytest.mark.parametrize("family", [random_tensor, haar_tensor, single_entry_tensor])
-    def test_bit_identical_to_reference(self, family, n, random_starts, target, max_sweeps):
-        rng = np.random.default_rng([n, random_starts, len(family.__name__), 89])
-        values = family(rng, n).values
-        starts = _start_points(values, OptimizerConfig(random_starts=random_starts, seed=n))
-        tol = _IMPROVEMENT_TOL
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rows_match_pair_reference(self, family, n, random_starts, target, max_sweeps):
+        values, starts, runs = pair_case(family, n, random_starts)
+
+        def first_to_leave():
+            # the first row to converge in an unstopped ascent reaches this on
+            # the sweep it leaves; the lesser of the two runs' values, so both reach it
+            _, found, sweeps, converged = _ascend(values, starts, 1000, math.inf)
+            row = int(np.argmin(np.where(converged, sweeps, 1001)))
+            return min(found[row], runs[row][0][-1][1])
+
         target = {
             "inf": lambda: math.inf,
             "fourier": lambda: _fourier_bound(values) * (1 - CERTIFY_RTOL / 2),
-            "first to leave": lambda: self.first_to_leave(values, starts, tol),
+            "first to leave": first_to_leave,
         }[target]()
-        got_all = _ascend(values, starts, max_sweeps, target)
-        want_all = reference_batched_ascent(values, starts, max_sweeps, tol, target)
-        for got, want in zip(got_all, want_all):
-            np.testing.assert_array_equal(got, want)
+        got = _ascend(values, starts, max_sweeps, target)
+        assert_rows_match(got, stopped_runs(runs, max_sweeps, target))
 
 
 def full_ascent(tensor, cfg):
@@ -365,6 +480,9 @@ class TestCertificateStop:
             value, _, sweeps = full_ascent(tensor, cfg)
             assert abs(result.value - value) <= CERTIFY_RTOL * result.upper
             assert result.iterations < sweeps if result.certified else result.iterations == sweeps
+            if n == 2:
+                # one pair step is exact at N = 2, so every start stops after one sweep
+                assert result.certified and result.iterations == result.starts_used
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_rotated_ghz_stops_within_rtol_below_bound(self, n):
@@ -393,6 +511,28 @@ class TestCertificateStop:
             assert result.value == value
             np.testing.assert_array_equal(result.maximizer, maximizer)
             assert result.iterations == sweeps
+
+
+def near_ghz_tensor(n, seed):
+    """GHZ data with shot noise: GHZ(N, 0.3) plus N(0, 1e-3) per entry."""
+    rng = np.random.default_rng([71, n, seed])
+    return CorrelationTensor(n, ghz_planar_tensor(n, 0.3).values + rng.normal(0, 1e-3, (2,) * n))
+
+
+class TestNearGhz:
+    # per-party steps crawl along the a_j + a_k = const ridge of these
+    # tensors: at N = 6 and 8 every start ran into the default 1,000-sweep
+    # cap, up to 1.3e-5 relative short of the maximum
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_converges_at_or_above_per_party_value(self, n, seed):
+        tensor = near_ghz_tensor(n, seed)
+        cfg = OptimizerConfig()
+        result = t_max(tensor, cfg)
+        assert result.converged and not result.certified
+        starts = _start_points(tensor.values, cfg)
+        _, found, _, _ = reference_batched_ascent(tensor.values, starts, 1000, _IMPROVEMENT_TOL, math.inf)
+        assert result.value >= found.max() * (1 - 1e-12)
 
 
 def whole_batch(tensor, cfg):
