@@ -1,7 +1,8 @@
 """Command-line interface: tensors, maximization, criterion checks, scans.
 
-Exit codes: 0 on success, 2 on invalid arguments or inputs, 3 when
---require-certified is set and the Fourier bound does not meet T_max.
+Handlers return their text and certificate flag; ``main`` alone writes the text
+(to stdout or --out) and exits 0 on success, 2 on invalid arguments or inputs,
+3 when --require-certified is set and the Fourier bound does not meet T_max.
 """
 
 from __future__ import annotations
@@ -25,13 +26,6 @@ EXIT_NOT_CERTIFIED = 3
 SCAN_COLUMNS = ("N", "V", "lhs", "rhs", "violated", "sum_sq", "two_setting_model", "region")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
-
-
 def _load_tensor(path: str) -> CorrelationTensor:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -44,34 +38,30 @@ def _optimizer_config(args: argparse.Namespace) -> OptimizerConfig:
     return OptimizerConfig(random_starts=args.starts, seed=args.seed)
 
 
-def _exit_code(args: argparse.Namespace, certified: bool) -> int:
-    return EXIT_NOT_CERTIFIED if args.require_certified and not certified else EXIT_OK
-
-
-def _scan_row(point: ScanPoint) -> dict:
-    report = point.report
-    fields = dict(asdict(report), N=report.n_parties, V=point.visibility, region=point.region)
-    return {column: fields[column] for column in SCAN_COLUMNS}
-
-
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
-def _scan_csv(points: list[ScanPoint]) -> str:
-    rows = [",".join(_csv_cell(value) for value in _scan_row(p).values()) for p in points]
-    return "\n".join([",".join(SCAN_COLUMNS)] + rows)
+def _scan_text(points: list[ScanPoint], fmt: str) -> str:
+    rows = []
+    for point in points:
+        report = point.report
+        fields = dict(asdict(report), N=report.n_parties, V=point.visibility, region=point.region)
+        rows.append({column: fields[column] for column in SCAN_COLUMNS})
+    if fmt == "json":
+        return json.dumps(rows, indent=2)
+    lines = [",".join(_csv_cell(value) for value in row.values()) for row in rows]
+    return "\n".join([",".join(SCAN_COLUMNS)] + lines)
 
 
-def _cmd_tensor(args: argparse.Namespace) -> int:
+def _cmd_tensor(args: argparse.Namespace) -> tuple[str, bool]:
     tensor = ghz_planar_tensor(args.ghz, args.visibility)
-    _emit(json.dumps(tensor.to_json_dict(), indent=2), args.out)
-    return EXIT_OK
+    return json.dumps(tensor.to_json_dict(), indent=2), True
 
 
-def _cmd_tmax(args: argparse.Namespace) -> int:
+def _cmd_tmax(args: argparse.Namespace) -> tuple[str, bool]:
     tensor = _load_tensor(args.infile)
     result = t_max(tensor, _optimizer_config(args))
     payload = {
@@ -79,27 +69,21 @@ def _cmd_tmax(args: argparse.Namespace) -> int:
         "maximizer": [list(d) for d in result.maximizer],
         "certified": result.certified,
     }
-    _emit(json.dumps(payload, indent=2), args.out)
-    return _exit_code(args, result.certified)
+    return json.dumps(payload, indent=2), result.certified
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> tuple[str, bool]:
     tensor = _load_tensor(args.infile)
     report = ri_criterion(tensor, _optimizer_config(args))
-    _emit(json.dumps(asdict(report), indent=2), args.out)
-    return _exit_code(args, report.certified)
+    return json.dumps(asdict(report), indent=2), report.certified
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> tuple[str, bool]:
     points = ghz_scan(args.ghz, args.v_min, args.v_max, args.steps, _optimizer_config(args))
-    if args.format == "json":
-        _emit(json.dumps([_scan_row(p) for p in points], indent=2), args.out)
-    else:
-        _emit(_scan_csv(points), args.out)
-    return _exit_code(args, all(p.report.certified for p in points))
+    return _scan_text(points, args.format), all(p.report.certified for p in points)
 
 
-def _cmd_verify_bound(args: argparse.Namespace) -> int:
+def _cmd_verify_bound(args: argparse.Namespace) -> tuple[str, bool]:
     tensor = _load_tensor(args.infile)
     report = verify_bound(
         tensor,
@@ -108,8 +92,7 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
         include_optimal=not args.skip_optimal,
         config=_optimizer_config(args),
     )
-    _emit(json.dumps(asdict(report), indent=2), args.out)
-    return _exit_code(args, report.certified)
+    return json.dumps(asdict(report), indent=2), report.certified
 
 
 def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
@@ -127,7 +110,7 @@ def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
 def _subcommand(sub, name: str, help: str, handler) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=help)
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(handler=handler)
+    p.set_defaults(handler=handler, require_certified=False)  # tensor has no such flag
     return p
 
 
@@ -176,10 +159,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        text, certified = args.handler(args)
+        if args.out:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        else:
+            print(text)
     except (RotbellError, OSError, MemoryError) as exc:  # MemoryError: counts too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    return EXIT_NOT_CERTIFIED if args.require_certified and not certified else EXIT_OK
 
 
 if __name__ == "__main__":

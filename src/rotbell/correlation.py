@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, _check_party_count, _is_integer
+from .errors import DomainError, ShapeError, _check_party_count, _check_visibility, _is_integer
 from .states import MAX_STATE_PARTIES, MixedState, contract, planar_expectations
 
 _ENTRY_BOUND = 1.0 + 1e-9
@@ -77,7 +77,7 @@ class CorrelationTensor:
         _check_party_count(n, MAX_STATE_PARTIES)
         vals = np.zeros((2,) * n)
         for key, value in entries.items():
-            if len(key) != n or any(c not in "12" for c in key):
+            if not isinstance(key, str) or len(key) != n or any(c not in "12" for c in key):
                 raise DomainError(
                     f"entry key {key!r} is not a length-{n} string over digits 1 and 2"
                 )
@@ -119,8 +119,7 @@ def ghz_planar_tensor(n_parties: int, visibility: float) -> CorrelationTensor:
     are nonzero, all of magnitude V.
     """
     _check_party_count(n_parties, MAX_STATE_PARTIES)
-    if not 0.0 <= visibility <= 1.0:
-        raise DomainError(f"visibility must lie in [0, 1], got {visibility}")
+    _check_visibility(visibility)
     k = ((np.arange(2**n_parties)[:, None] >> np.arange(n_parties)) & 1).sum(axis=1)
     flat = visibility * np.array([1.0, 0.0, -1.0, 0.0])[k % 4]  # bit j-1: party j
     return CorrelationTensor(n_parties, flat.reshape((2,) * n_parties, order="F"))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one check for integer counts."""
+"""Exception types shared across the package, and the one check each for counts and visibilities."""
 
 import math
 import numbers
@@ -37,6 +37,11 @@ def _check_count(name: str, value, low: int = 1, cap: float = math.inf, error=Do
         raise error(f"{name} must be >= {low}, got {value}")
     if value > cap:
         raise error(f"{name}={value} exceeds the configured cap of {cap}")
+
+
+def _check_visibility(value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= 1:
+        raise DomainError(f"visibility must lie in [0, 1], got {value}")
 
 
 def _check_party_count(n_parties: int, cap: float = math.inf) -> None:

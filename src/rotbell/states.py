@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, _check_party_count
+from .errors import DomainError, ShapeError, _check_party_count, _check_visibility
 
 # Memory cap: a state vector, and a white-noise mixture kept as one, has
 # 2^N amplitudes.
@@ -140,8 +140,7 @@ class NoisyPureState:
     visibility: float
 
     def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
-            raise DomainError(f"visibility must lie in [0, 1], got {self.visibility}")
+        _check_visibility(self.visibility)
 
     @property
     def n_parties(self) -> int:

@@ -101,8 +101,8 @@ def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, target: flo
     on odd ones, an unpaired last party alone.  A block's gradient is the
     running contraction P_j (P_0 = T, P_{j+1} = d_j . P_j over its first
     axis) times the Kronecker row of the old directions of the parties after
-    it: for one party a 2-vector, normalized; for a pair a 2x2 matrix Q,
-    whose top singular pair and value |z1| + |z2| come from ``_PAIR_ROWS``.
+    it: for one party a 2-vector, whose angle it turns to; for a pair a 2x2
+    matrix Q, whose top singular pair and value |z1| + |z2| come from ``_PAIR_ROWS``.
     A row leaves the batch at its own convergence, as a lone ascent would; the
     batch stops, checked before every sweep, once a value reaches ``target``.
     Active rows stay compact across sweeps, written back only as some leave.
@@ -129,18 +129,19 @@ def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, target: flo
             block = partial.reshape(rows, 2 ** (end - j), -1)
             grad = np.einsum("skr,sr->sk", block, suffixes[n - end])
             if end == j + 1:
-                norm = np.hypot(grad[:, 0], grad[:, 1])
-                # zero gradient: any direction is optimal, keep the previous one
-                np.divide(grad, norm[:, None], out=sub[:, j], where=norm[:, None] > 0.0)
-                step = sub[:, j]
+                z = grad.view(complex)
+                norm = np.abs(z[:, 0])
+                turn = np.angle(z)  # 0 on a zero gradient, where every direction is optimal
             else:
                 z = (grad @ _PAIR_ROWS).view(complex)
                 size = np.abs(z)
                 norm = size[:, 0] + size[:, 1]
                 turn = np.angle(z) @ _PAIR_TURNS
-                sub[:, j:end, 0], sub[:, j:end, 1] = np.cos(turn), np.sin(turn)
-                step = (sub[:, j, :, None] * sub[:, j + 1, None, :]).reshape(rows, 4)
+            sub[:, j:end, 0], sub[:, j:end, 1] = np.cos(turn), np.sin(turn)
             if end < n:
+                step = sub[:, j]
+                if end > j + 1:
+                    step = (step[:, :, None] * sub[:, j + 1, None, :]).reshape(rows, 4)
                 partial = np.einsum("sk,skr->sr", step, block)
         sweep += 1
         done = norm - now < _IMPROVEMENT_TOL
@@ -156,11 +157,9 @@ def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, target: flo
 
 def _corner(values: np.ndarray) -> np.ndarray:
     """Directions at the largest-magnitude entry, sign-corrected to contract to max |T_i|."""
-    flat = values.reshape(-1, order="F")
-    flat_key = int(np.argmax(np.abs(flat)))
-    bits = (flat_key >> np.arange(values.ndim)) & 1
-    corner = np.where(bits[:, None] == 1, [0.0, 1.0], [1.0, 0.0])
-    if flat[flat_key] < 0.0:
+    index = np.unravel_index(np.argmax(np.abs(values.ravel(order="F"))), values.shape, order="F")
+    corner = np.eye(2)[np.array(index)]  # party j's row: x for index 0, y for index 1
+    if values[index] < 0.0:
         corner[0] = -corner[0]
     return corner
 
@@ -168,10 +167,9 @@ def _corner(values: np.ndarray) -> np.ndarray:
 def _start_points(values: np.ndarray, config: OptimizerConfig) -> np.ndarray:
     """All starting directions as one (S, N, 2) array, in tie-break order."""
     n = values.ndim
-    e1, e2 = np.eye(2)
     # 2N axis-aligned starts: all-x with party j on y, all-y with party j on x.
-    on_j = np.eye(n, dtype=bool)[:, :, None]
-    axis = np.stack([np.where(on_j, e2, e1), np.where(on_j, e1, e2)], axis=1)
+    on_j = np.eye(n, dtype=int)
+    axis = np.eye(2)[np.stack([on_j, 1 - on_j], axis=1)]  # index 0 -> x, 1 -> y, as in _corner
 
     angles = np.random.default_rng(config.seed).uniform(0, _TWO_PI, (config.random_starts, n))
     seeded = np.stack([np.cos(angles), np.sin(angles)], axis=-1)

@@ -43,6 +43,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def open_gap_tensor(tmp_path):
+    """A tensor file whose T_max, 1/2, the Fourier bound 1/sqrt(2) does not prove."""
+    path = tmp_path / "open-gap.json"
+    path.write_text('{"n": 3, "entries": {"111": 0.5, "222": 0.5}}')
+    return path
+
+
 class TestTensorCommand:
     def test_writes_tensor_json(self, tmp_path, capsys):
         out = tmp_path / "tensor.json"
@@ -71,6 +79,42 @@ class TestTensorCommand:
         assert code == 2
 
 
+class TestRequireCertified:
+    """Exit 3 with the output still written, from every command that reads a tensor."""
+
+    COMMANDS = [("tmax",), ("check",), ("verify-bound", "--trials", "10")]
+
+    # tmax's exit 3 to stdout is TestTmaxCommand's
+    @pytest.mark.parametrize("command", COMMANDS[1:])
+    def test_exits_3_on_open_gap(self, open_gap_tensor, capsys, command):
+        argv = (*command, "--in", str(open_gap_tensor), "--require-certified")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err == ""
+        assert json.loads(out)["certified"] is False
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_file_holds_the_stdout_text(self, open_gap_tensor, tmp_path, capsys, command):
+        argv = (*command, "--in", str(open_gap_tensor), "--require-certified")
+        _, printed, _ = run_cli(capsys, *argv)
+        path = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 3
+        assert out == "" and err == ""
+        assert path.read_text(encoding="utf-8") == printed
+
+    def test_exits_0_without_the_flag(self, open_gap_tensor, capsys):
+        code, out, _ = run_cli(capsys, "check", "--in", str(open_gap_tensor))
+        assert code == 0
+        assert json.loads(out)["certified"] is False
+
+    def test_scan_rows_are_certified(self, capsys):
+        argv = ("scan", "--ghz", "4", "--v-min", "0.3", "--v-max", "0.4", "--steps", "3")
+        code, out, _ = run_cli(capsys, *argv, "--require-certified")
+        assert code == 0
+        assert out.count("\n") == 4
+
+
 class TestTmaxCommand:
     def test_output_keys_and_value(self, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -83,11 +127,9 @@ class TestTmaxCommand:
         assert doc["certified"] is True
         assert len(doc["maximizer"]) == 4
 
-    def test_require_certified_exits_3_on_open_gap(self, tmp_path, capsys):
-        # T_max = 1/2, but the Fourier bound is 1/sqrt(2)
-        path = tmp_path / "t.json"
-        path.write_text('{"n": 3, "entries": {"111": 0.5, "222": 0.5}}')
-        code, out, _ = run_cli(capsys, "tmax", "--in", str(path), "--require-certified")
+    def test_require_certified_exits_3_on_open_gap(self, open_gap_tensor, capsys):
+        argv = ("tmax", "--in", str(open_gap_tensor), "--require-certified")
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 3
         doc = json.loads(out)
         assert doc["value"] == pytest.approx(0.5, abs=1e-12)

@@ -137,6 +137,17 @@ class TestGhzPlanarTensor:
         with pytest.raises(DomainError):
             ghz_planar_tensor(3, 1.5)
 
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "0.3", None])
+    def test_rejects_non_numeric_visibility(self, bad):
+        # a bool is no number, so True is no V = 1; "0.3" raised a bare TypeError
+        with pytest.raises(DomainError, match=rf"^visibility must lie in \[0, 1\], got {bad}$"):
+            ghz_planar_tensor(4, bad)
+
+    @pytest.mark.parametrize("v", [np.float64(0.3), np.float32(0.5), 1, np.int64(0)])
+    def test_accepts_numpy_and_integer_visibility(self, v):
+        want = ghz_planar_tensor(3, float(v)).values
+        np.testing.assert_array_equal(ghz_planar_tensor(3, v).values, want)
+
 
 class TestCorrelationValue:
     def test_ghz_closed_form_and_brute_force(self):
@@ -303,6 +314,12 @@ class TestTensorLayoutAndJson:
             CorrelationTensor.from_json_dict({"n": 100, "entries": {}})
         with pytest.raises(InvalidSizeError):
             ghz_planar_tensor(100, 0.5)
+
+    @pytest.mark.parametrize("key", [11, 1.5, None, ("1", "1")])
+    def test_json_rejects_non_string_keys(self, key):
+        # JSON keys are strings; a dict built in Python may hold others
+        with pytest.raises(DomainError, match="is not a length-2 string over digits 1 and 2"):
+            CorrelationTensor.from_json_dict({"n": 2, "entries": {key: 0.5}})
 
     def test_json_rejects_bad_keys(self):
         with pytest.raises(DomainError):

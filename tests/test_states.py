@@ -195,6 +195,19 @@ class TestMixWithWhiteNoise:
         with pytest.raises(DomainError):
             NoisyPureState(build_ghz(2), bad)
 
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(False), "0.3", None])
+    def test_rejects_non_numeric_visibility(self, bad):
+        # a bool is no number, and "0.3" raised a bare TypeError
+        message = rf"^visibility must lie in \[0, 1\], got {bad}$"
+        with pytest.raises(DomainError, match=message):
+            mix_with_white_noise(build_ghz(3), bad)
+        with pytest.raises(DomainError, match=message):
+            NoisyPureState(build_ghz(3), bad)
+
+    @pytest.mark.parametrize("v", [np.float64(0.3), np.float32(0.5), 1, np.int64(0)])
+    def test_accepts_numpy_and_integer_visibility(self, v):
+        assert mix_with_white_noise(build_ghz(2), v).visibility == v
+
     def test_dense_matrix_cap(self):
         # mixtures are kept as (psi, V) up to 14 parties
         amp = np.zeros(2**15)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from rotbell.tensor_analysis import (
     _IMPROVEMENT_TOL,
     CERTIFY_RTOL,
     _ascend,
+    _corner,
     _fourier_bound,
     _start_points,
 )
@@ -132,8 +134,10 @@ def pair_reference(values, start, max_sweeps, tol):
     Sweep k visits the pairs (0, 1), (2, 3), ... for even k and (0), (1, 2),
     (3, 4), ... for odd k, an unpaired last party alone.  A pair takes the top
     singular pair of its 2x2 gradient from np.linalg.svd, not from the
-    kernel's closed form.  Returns the (directions, value) before the first
-    sweep and after each one, and whether the last sweep gained under tol.
+    kernel's closed form; a lone party turns to its gradient's angle
+    atan2(g1, g0), as the kernel's np.angle does.  Returns the (directions,
+    value) before the first sweep and after each one, and whether the last
+    sweep gained under tol.
     """
     n = values.ndim
     ds = start.copy()
@@ -151,10 +155,9 @@ def pair_reference(values, start, max_sweeps, tol):
                 u, sigma, vt = np.linalg.svd(grad)
                 ds[lo], ds[lo + 1], value = u[:, 0], vt[0], float(sigma[0])
             else:
-                norm = float(np.hypot(grad[0], grad[1]))
-                if norm > 0.0:
-                    ds[lo] = grad / norm
-                value = norm if norm > 0.0 else float(grad @ ds[lo])
+                turn = math.atan2(grad[1], grad[0])  # 0 on a zero gradient, pi on (-0.0, 0.0)
+                ds[lo] = math.cos(turn), math.sin(turn)
+                value = float(np.hypot(grad[0], grad[1]))
         history.append((ds.copy(), value))
         if value - previous < tol:
             return history, True
@@ -347,6 +350,31 @@ class TestBatchedAscent:
         np.testing.assert_array_equal(result.maximizer, np.tile([1.0, 0.0], (n, 1)))
         # 0 = 0 is certified before any sweep
         assert result.iterations == 0
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_zero_lone_gradient_turns_to_x_and_lowers_no_value(self, n):
+        # an odd party count's last party steps alone on sweep 0; from N=3 on,
+        # some axis starts give it a zero gradient there, and it turns to (1, 0)
+        turned = 0
+        for index in itertools.product((0, 1), repeat=n):
+            values = np.zeros((2,) * n)
+            values[index] = -0.6
+            starts = _start_points(values, OptimizerConfig(random_starts=0))
+            for ds in _ascend(values, starts, 1, math.inf)[0]:
+                if n % 2 and not last_party_gradient(values, ds).any():
+                    np.testing.assert_array_equal(ds[-1], [1.0, 0.0])
+                    turned += 1
+            found = np.array([_ascend(values, starts, k, math.inf)[1] for k in range(6)])
+            assert np.all(np.diff(found, axis=0) >= 0.0)
+        assert (turned > 0) == (n in (3, 5))
+
+
+def last_party_gradient(values, ds):
+    """The last party's gradient with every other party at its direction in ``ds``."""
+    grad = values
+    for k in range(values.ndim - 1):
+        grad = np.tensordot(ds[k], grad, axes=([0], [0]))
+    return grad
 
 
 def rotation(angle):
@@ -625,6 +653,11 @@ class TestCornerPath:
         got = t_max(tensor)
         assert_same_result(got, want)
         assert got.value == 0.0 and math.copysign(1.0, got.value) == 1.0
+
+    def test_tie_goes_to_the_first_entry_in_party_order(self):
+        # |T_21| = |T_12|: party 1's index runs fastest, so T_21 comes first
+        corner = _corner(np.array([[0.0, 0.5], [0.5, 0.0]]))
+        np.testing.assert_array_equal(corner, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_unallocatable_draw_still_raises(self, monkeypatch):
         forbid_search(monkeypatch)
