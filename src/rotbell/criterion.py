@@ -55,7 +55,9 @@ class GhzThresholds:
     ``v_ri`` = 2*(2/pi)^N is the exclusion onset under rotational
     invariance; ``v_two_setting`` = 2^(-(N-1)/2) bounds two-setting
     modelability.  A nonempty gap (v_ri < v_two_setting) is the window
-    where models of the measured data exist but cannot be consistent.
+    where models of the measured data exist but cannot be consistent; it
+    is decided on v_ri / v_two_setting = sqrt(2) * (2*sqrt(2)/pi)^N < 1,
+    which holds exactly from N = 4 on, also where both thresholds underflow.
     """
 
     n_parties: int
@@ -103,7 +105,8 @@ def ghz_thresholds(n_parties: int) -> GhzThresholds:
     _check_party_count(n_parties)
     v_ri = 2.0 * (2.0 / np.pi) ** n_parties
     v_two_setting = 2.0 ** (-(n_parties - 1) / 2.0)
-    return GhzThresholds(n_parties, v_ri, v_two_setting, v_ri < v_two_setting)
+    ratio = 2.0**0.5 * (2.0**1.5 / np.pi) ** n_parties  # underflows to 0, the side of N >= 4
+    return GhzThresholds(n_parties, v_ri, v_two_setting, ratio < 1.0)
 
 
 def classify(report: CriterionReport) -> str:

@@ -65,24 +65,33 @@ class ResponseFunction:
 def sign_overlaps(breakpoints, flips, signs) -> np.ndarray:
     """Cos/sin overlaps of many sign functions at once, shape (..., 2).
 
-    Each function is one row of ``breakpoints`` (last axis, sorted) whose
-    first ``flips`` entries are its breakpoints; the rest is padding and
-    is never read.  ``signs`` holds the leading signs.  Integrating
-    piecewise telescopes to the breakpoint terms alone,
-    a = 2s * sum_k (-1)^k sin(t_k) and b = -2s * sum_k (-1)^k cos(t_k),
-    so constants project to exactly zero.
+    Each function is one row of ``breakpoints`` (last axis, sorted, of
+    even width) whose first ``flips`` entries are its breakpoints; the
+    rest is padding and is never read.  ``signs`` holds the leading signs.
+    Counts are even (``ResponseFunction`` rejects odd ones; the sampler
+    draws 2k), so integrating piecewise telescopes to chords of consecutive
+    pairs t0 < t1: e^{i t0} - e^{i t1} = -2i sin(h) e^{im}, m = (t0 + t1)/2,
+    h = (t1 - t0)/2, and (a, b) = -4s * sum_pairs sin(h) (cos m, sin m), so
+    constants project to exactly zero.  e^{im} = ((1 - tau^2) + 2i tau) /
+    (1 + tau^2) with tau = tan(m/2), finite as m/2 lies in [0, pi) (at most
+    about 1.6e16, at m = pi, where it still gives (-1, sin m)): one tan and
+    one sin per pair, the pairs taken by one boolean gather.
     """
     points = np.asarray(breakpoints, dtype=float)
     lead, width = points.shape[:-1], points.shape[-1]
-    used = np.flatnonzero(np.arange(width) < np.reshape(flips, (-1, 1)))
-    rows, column = np.divmod(used, width)
-    t = points.reshape(-1)[used]
-    alt = 1.0 - 2.0 * (column & 1)
     count = math.prod(lead)
-    a = np.bincount(rows, alt * np.sin(t), minlength=count)
-    b = np.bincount(rows, alt * np.cos(t), minlength=count)
-    scale = 2.0 * np.reshape(signs, -1)
-    return np.stack([scale * a, -scale * b], axis=-1).reshape(lead + (2,))
+    pairs = np.reshape(flips, -1) // 2
+    used = np.arange(width // 2) < pairs[:, None]
+    t0, t1 = np.compress(used.reshape(-1), points.reshape(used.size, 2), axis=0).T
+    tau = np.tan(0.25 * (t0 + t1))
+    half = np.sin(0.5 * (t1 - t0))
+    tau_sq = tau * tau
+    half /= 1.0 + tau_sq
+    rows = np.repeat(np.arange(count), pairs)
+    a = np.bincount(rows, half * (1.0 - tau_sq), minlength=count)
+    b = np.bincount(rows, half * (2.0 * tau), minlength=count)
+    scale = -4.0 * np.reshape(signs, -1)
+    return np.stack([scale * a, scale * b], axis=-1).reshape(lead + (2,))
 
 
 def project(response: ResponseFunction) -> np.ndarray:

@@ -40,14 +40,17 @@ _MAX_STRATEGIES = 4
 #: Floats one block of ``verify_bound`` trials holds on average.  A trial
 #: has (1 + _MAX_STRATEGIES) / 2 strategy rows on average; every row holds
 #: its owner, weight and N flip counts, and a live row (every party flips,
-#: probability (4/5)^N) also holds about 2^N contraction entries and eight
-#: sampling temporaries of _MAX_FLIPS breakpoints per party.  The trials
+#: probability (4/5)^N) also holds about 2^N contraction entries and, per
+#: party, _MAX_FLIPS padded breakpoints and the temporaries of the draw and
+#: of the pair kernel: about 12 floats while drawing and at most 26 while
+#: scoring (tracemalloc, N = 4 and 8), fewer than the 8 * _MAX_FLIPS per
+#: party that the formula counts.  The trials
 #: per block follow from N alone, so a block's memory has the same law
 #: whatever the trial count; it is near its mean while a block holds many
 #: live rows, but for large N a block holds a few, and their count, thus
 #: its memory, can reach several times the mean.  Each block draws its own
-#: arrays, so the block size is part of the seeded stream: changing it
-#: changes every seeded result.
+#: arrays, so the block size is part of the seeded stream: changing it,
+#: or the formula, changes every seeded result.
 _BLOCK_FLOATS = 2**21
 
 #: Slack added to the bound when counting violations (optimizer accuracy).

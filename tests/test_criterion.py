@@ -92,6 +92,15 @@ class TestGhzThresholds:
         for n in range(1, 11):
             assert ghz_thresholds(n).gap_nonempty == (n >= 4)
 
+    @pytest.mark.parametrize("n", [*range(1, 21), 2200, 3000, 10**5])
+    def test_gap_survives_underflow(self, n):
+        # from about N = 2,150 both thresholds underflow to 0.0, and 0.0 < 0.0
+        # is false; their ratio underflows toward 0, where the gap is open
+        th = ghz_thresholds(n)
+        assert th.gap_nonempty == (n >= 4)
+        assert th.v_ri == 2 * (2 / math.pi) ** n
+        assert th.v_two_setting == 2.0 ** (-(n - 1) / 2)
+
     def test_thresholds_in_range(self):
         for n in range(1, 11):
             th = ghz_thresholds(n)

@@ -111,6 +111,23 @@ def reference_trial_values(draw, values):
     return np.bincount(draw.owner, draw.weights * product_contraction(values, overlaps))
 
 
+def reference_sign_overlaps(breakpoints, flips, signs):
+    """The per-breakpoint kernel that the pair kernel replaced: a sin and a
+    cos per breakpoint, a = 2s * sum_k (-1)^k sin(t_k) and
+    b = -2s * sum_k (-1)^k cos(t_k)."""
+    points = np.asarray(breakpoints, dtype=float)
+    lead, width = points.shape[:-1], points.shape[-1]
+    used = np.flatnonzero(np.arange(width) < np.reshape(flips, (-1, 1)))
+    rows, column = np.divmod(used, width)
+    t = points.reshape(-1)[used]
+    alt = 1.0 - 2.0 * (column & 1)
+    count = math.prod(lead)
+    a = np.bincount(rows, alt * np.sin(t), minlength=count)
+    b = np.bincount(rows, alt * np.cos(t), minlength=count)
+    scale = 2.0 * np.reshape(signs, -1)
+    return np.stack([scale * a, -scale * b], axis=-1).reshape(lead + (2,))
+
+
 def live_draw(ref):
     """``ref``'s rows in the sampler's layout: responses for the live rows alone."""
     live = np.flatnonzero(ref.flips.min(axis=1) > 0)
@@ -543,6 +560,79 @@ class TestLaw:
         # one block at N = 8
         report = verify_bound(ghz_planar_tensor(8, 0.6), 1500, seed=seed, include_optimal=False)
         assert report.max_found == pytest.approx(expected, rel=1e-12)
+
+
+class TestPairKernel:
+    """``sign_overlaps``, one chord per breakpoint pair, against the
+    per-breakpoint kernel it replaced, kept above as the reference."""
+
+    @staticmethod
+    def assert_matches_reference(points, flips, signs):
+        got = sign_overlaps(points, flips, signs)
+        np.testing.assert_allclose(
+            got, reference_sign_overlaps(points, flips, signs), rtol=0.0, atol=1e-14
+        )
+        return got
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    @pytest.mark.parametrize("max_flips", [0, 7, 8])
+    def test_seeded_draw_rows(self, n, max_flips):
+        # widths 0, 6 and 8; rows padded with 2*pi + k
+        draw = _draw_trials(np.random.default_rng([40, n, max_flips]), 500, n, max_flips=max_flips)
+        assert draw.points.shape[-1] == 2 * (max_flips // 2)
+        assert (draw.live.size > 0) == (max_flips > 0)
+        self.assert_matches_reference(draw.points, draw.flips[draw.live], draw.signs)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [math.pi - 0.5, math.pi + 0.5],  # centred on pi: m/2 at the pole of tan
+            [0.5, math.pi - 2.0, math.pi + 2.0, 6.0],
+            [1.0, float(np.nextafter(1.0, 2.0))],  # one ulp apart
+            [0.0, float(np.nextafter(TWO_PI, 0.0))],  # both ends of the period
+            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, float(np.nextafter(TWO_PI, 0.0))],
+        ],
+    )
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_edge_pairs(self, points, sign):
+        got = self.assert_matches_reference(points, len(points), sign)
+        np.testing.assert_array_equal(project(ResponseFunction(points, sign)), got)
+
+    def test_pair_at_the_pole(self):
+        # m = pi, so tau = tan(pi/2) is about 1.6e16 and stays finite; the
+        # overlaps are -4s sin(h) (cos pi, sin pi) = (4s sin h, 0)
+        t0, t1 = math.pi - 0.5, math.pi + 0.5
+        assert 0.25 * (t0 + t1) == math.pi / 2
+        for sign in (1, -1):
+            a, b = sign_overlaps([t0, t1], 2, sign)
+            assert a == pytest.approx(4.0 * sign * math.sin(0.5), abs=1e-15)
+            assert abs(b) <= 1e-15
+
+    def test_one_ulp_pair_scores_near_zero(self):
+        t0 = 1.0
+        overlaps = sign_overlaps([t0, float(np.nextafter(t0, 2.0))], 2, 1)
+        assert np.all(np.abs(overlaps) <= 4.0 * np.spacing(t0))
+
+    def test_zero_padded_rows_of_unequal_width(self):
+        # lr_inner_product stacks responses as rows zero-padded to the widest
+        rng = np.random.default_rng(41)
+        responses = [
+            ResponseFunction(np.sort(rng.uniform(0.0, TWO_PI, k)), s)
+            for k, s in [(2, 1), (8, -1), (0, 1), (4, -1), (6, 1)]
+        ]
+        flips = [len(r.breakpoints) for r in responses]
+        points = np.zeros((len(flips), 8))
+        for row, r in zip(points, responses):
+            row[: len(r.breakpoints)] = r.breakpoints
+        signs = [r.leading_sign for r in responses]
+        overlaps = self.assert_matches_reference(points, flips, signs)
+        np.testing.assert_array_equal(overlaps[2], 0.0)
+        tensor = random_tensor(rng, len(responses))
+        expected = product_contraction(tensor.values, reference_sign_overlaps(points, flips, signs))
+        got = lr_inner_product(DeterministicStrategy(responses), tensor)
+        assert got == pytest.approx(float(expected), abs=1e-12)
+        constant = DeterministicStrategy([ResponseFunction()] * 3)  # rows of width 0
+        assert lr_inner_product(constant, random_tensor(rng, 3)) == 0.0
 
 
 class TestGeneralizedBellBound:
