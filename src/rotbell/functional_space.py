@@ -81,7 +81,7 @@ def sign_overlaps(breakpoints, flips, signs) -> np.ndarray:
     lead, width = points.shape[:-1], points.shape[-1]
     count = math.prod(lead)
     pairs = np.reshape(flips, -1) // 2
-    used = np.arange(width // 2) < pairs[:, None]
+    used = np.tri(width // 2 + 1, width // 2, -1, dtype=bool).take(pairs, axis=0)  # k < pairs
     t0, t1 = np.compress(used.reshape(-1), points.reshape(used.size, 2), axis=0).T
     tau = np.tan(0.25 * (t0 + t1))
     half = np.sin(0.5 * (t1 - t0))

@@ -42,14 +42,14 @@ _MAX_STRATEGIES = 4
 #: its owner, weight and N flip counts, and a live row (every party flips,
 #: probability (4/5)^N) also holds about 2^N contraction entries and, per
 #: party, _MAX_FLIPS padded breakpoints and the temporaries of the draw and
-#: of the pair kernel: about 12 floats while drawing and at most 26 while
-#: scoring (tracemalloc, N = 4 and 8), fewer than the 8 * _MAX_FLIPS per
-#: party that the formula counts.  The trials
-#: per block follow from N alone, so a block's memory has the same law
-#: whatever the trial count; it is near its mean while a block holds many
-#: live rows, but for large N a block holds a few, and their count, thus
-#: its memory, can reach several times the mean.  Each block draws its own
-#: arrays, so the block size is part of the seeded stream: changing it,
+#: of the pair kernel: about 19 floats while drawing (the padding table's
+#: rows among them) and at most 26 while scoring (tracemalloc, N = 4 and 8),
+#: fewer than the 8 * _MAX_FLIPS per party that the formula counts.  The
+#: trials per block follow from N alone, so a block's memory has the same
+#: law whatever the trial count; it is near its mean while a block holds
+#: many live rows, but for large N a block holds a few, and their count,
+#: thus its memory, can reach several times the mean.  Each block draws its
+#: own arrays, so the block size is part of the seeded stream: changing it,
 #: or the formula, changes every seeded result.
 _BLOCK_FLOATS = 2**21
 
@@ -163,23 +163,24 @@ def _draw_breakpoints(rng: np.random.Generator, flips: np.ndarray, width: int) -
     Flip positions are uniform on [0, 2*pi).  A row with a repeated
     breakpoint is drawn again.
     """
-    k = np.arange(width)
+    # row c of pad: -inf on the c drawn slots, then 2*pi + k, above every breakpoint and increasing
+    pad = np.where(np.tri(width + 1, width, -1, dtype=bool), -np.inf, _TWO_PI + np.arange(width))
 
     def sorted_rows(count: np.ndarray) -> np.ndarray:
-        rows = rng.uniform(0.0, _TWO_PI, count.shape + k.shape)
-        np.copyto(rows, _TWO_PI + k, where=k >= count[..., None])
+        rows = rng.uniform(0.0, _TWO_PI, (count.size, width))
+        np.maximum(rows, pad.take(count, axis=0), out=rows)
         rows.sort(axis=-1)
         return rows
 
-    points = sorted_rows(flips)
-    # padding is 2*pi + k, above every breakpoint and increasing, so any
-    # non-increasing step is a repeated breakpoint
-    repeats = points[..., 1:] <= points[..., :-1]
+    counts = flips.reshape(-1)
+    points = sorted_rows(counts)  # (flips.size, width): -1 would not size an empty row
+    # a non-increasing step is a repeated breakpoint; slot by slot is 2x row by row
+    repeats = np.less_equal(points.T[1:], points.T[:-1], order="C")
     while repeats.any():
-        redraw = repeats.any(axis=-1)
-        points[redraw] = sorted_rows(flips[redraw])
-        repeats = points[..., 1:] <= points[..., :-1]
-    return points
+        redraw = repeats.any(axis=0)
+        points[redraw] = sorted_rows(counts[redraw])
+        repeats = np.less_equal(points.T[1:], points.T[:-1], order="C")
+    return points.reshape(flips.shape + (width,))
 
 
 def _draw_trials(
@@ -197,7 +198,7 @@ def _draw_trials(
     owner = np.repeat(np.arange(trials), rng.integers(1, max_strategies + 1, size=trials))
     flips = 2 * rng.integers(0, max_flips // 2 + 1, size=(owner.size, n_parties), dtype=np.int8)
     mass = rng.standard_exponential(owner.size)
-    live = np.flatnonzero(flips.all(axis=1))
+    live = np.flatnonzero(np.logical_and.reduce(flips.T.copy()))  # all(axis=1) is 6-10x slower
     points = _draw_breakpoints(rng, flips[live], 2 * (max_flips // 2))
     signs = 1.0 - 2.0 * rng.integers(0, 2, size=(live.size, n_parties))
     return _TrialDraw(owner, flips, mass / np.bincount(owner, mass)[owner], live, points, signs)

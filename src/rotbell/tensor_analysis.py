@@ -120,23 +120,26 @@ def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, target: flo
     sweep = 0
     while sweep < max_sweeps and active.size and max(left_max, now.max()) < target:
         rows = len(sub)
-        suffixes = [np.ones((rows, 1))]
-        for j in range(n - 1, 0, -1):
-            suffixes.append((sub[:, j, :, None] * suffixes[-1][:, None, :]).reshape(rows, -1))
+        # tails[j]: the Kronecker row of parties j..n-1, for each block end j < n;
+        # tails[n - 1] is a view of sub, read before party n - 1 steps
+        tails = {n - 1: sub[:, n - 1]}
+        for j in range(n - 2, 1 - sweep % 2, -1):
+            tails[j] = (sub[:, j, :, None] * tails[j + 1][:, None, :]).reshape(rows, -1)
         partial = whole[:rows]
         edges = sorted({0, *range(sweep % 2, n, 2), n})
         for j, end in zip(edges, edges[1:]):
             block = partial.reshape(rows, 2 ** (end - j), -1)
-            grad = np.einsum("skr,sr->sk", block, suffixes[n - end])
+            # + 0.0 turns -0.0 to 0.0, as einsum's sum from zero does
+            grad = block[:, :, 0] + 0.0 if end == n else np.einsum("skr,sr->sk", block, tails[end])
             if end == j + 1:
                 z = grad.view(complex)
                 norm = np.abs(z[:, 0])
-                turn = np.angle(z)  # 0 on a zero gradient, where every direction is optimal
+                turn = np.arctan2(z.imag, z.real)  # 0 at a zero gradient: any direction is optimal
             else:
                 z = (grad @ _PAIR_ROWS).view(complex)
                 size = np.abs(z)
                 norm = size[:, 0] + size[:, 1]
-                turn = np.angle(z) @ _PAIR_TURNS
+                turn = np.arctan2(z.imag, z.real) @ _PAIR_TURNS
             sub[:, j:end, 0], sub[:, j:end, 1] = np.cos(turn), np.sin(turn)
             if end < n:
                 step = sub[:, j]
@@ -155,9 +158,9 @@ def _ascend(values: np.ndarray, starts: np.ndarray, max_sweeps: int, target: flo
     return ds, value, sweeps, converged
 
 
-def _corner(values: np.ndarray) -> np.ndarray:
-    """Directions at the largest-magnitude entry, sign-corrected to contract to max |T_i|."""
-    index = np.unravel_index(np.argmax(np.abs(values.ravel(order="F"))), values.shape, order="F")
+def _corner(values: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
+    """Directions at the largest of ``magnitudes`` = |values|, sign-corrected to contract to it."""
+    index = np.unravel_index(np.argmax(magnitudes.ravel(order="F")), values.shape, order="F")
     corner = np.eye(2)[np.array(index)]  # party j's row: x for index 0, y for index 1
     if values[index] < 0.0:
         corner[0] = -corner[0]
@@ -173,7 +176,8 @@ def _start_points(values: np.ndarray, config: OptimizerConfig) -> np.ndarray:
 
     angles = np.random.default_rng(config.seed).uniform(0, _TWO_PI, (config.random_starts, n))
     seeded = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    return np.concatenate([_corner(values)[None], axis.reshape(2 * n, n, 2), seeded])
+    corner = _corner(values, np.abs(values))
+    return np.concatenate([corner[None], axis.reshape(2 * n, n, 2), seeded])
 
 
 def _fourier_bound(values: np.ndarray) -> float:
@@ -210,9 +214,10 @@ def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> T
     bound = _fourier_bound(values)
     target = bound * (1 - CERTIFY_RTOL / 2)
     _check_start_count(cfg, n)
-    value = float(np.abs(values).max())  # the corner's value |T_i*|
+    magnitudes = np.abs(values)
+    value = float(magnitudes.max())  # the corner's value |T_i*|
     if value >= target:
-        maximizer, iterations, converged = _corner(values), 0, False
+        maximizer, iterations, converged = _corner(values, magnitudes), 0, False
     else:
         ds, vals, sweeps, conv = _ascend(values, _start_points(values, cfg), cfg.max_sweeps, target)
         best = int(np.argmax(vals))

@@ -114,6 +114,15 @@ class TestRequireCertified:
         assert code == 0
         assert out.count("\n") == 4
 
+    def test_scan_help_says_it_never_exits_3(self):
+        helps = {
+            name: next(a.help for a in sub._actions if a.dest == "require_certified")
+            for name, sub in subcommand_parsers().items()
+            if name != "tensor"
+        }
+        assert "never here" in helps.pop("scan")
+        assert all("never" not in text for text in helps.values())
+
 
 class TestTmaxCommand:
     def test_output_keys_and_value(self, tmp_path, capsys):

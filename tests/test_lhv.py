@@ -71,11 +71,10 @@ class ReferenceDraw(NamedTuple):
     weights: np.ndarray  # (S,)
 
 
-def reference_draw_responses(rng, shape, max_flips=8):
-    """Padded breakpoint rows, flip counts and leading signs, as the
-    full-row sampler drew them for every row, dead or live."""
-    flips = 2 * rng.integers(0, max_flips // 2 + 1, size=shape)
-    k = np.arange(2 * (max_flips // 2))
+def reference_draw_breakpoints(rng, flips, width):
+    """The padding by a broadcast mask and ``np.copyto``, and the repeat test
+    on the N-D view, that ``_draw_breakpoints``' padding table replaced."""
+    k = np.arange(width)
 
     def sorted_rows(count):
         rows = rng.uniform(0.0, TWO_PI, count.shape + k.shape)
@@ -89,8 +88,48 @@ def reference_draw_responses(rng, shape, max_flips=8):
         redraw = repeats.any(axis=-1)
         points[redraw] = sorted_rows(flips[redraw])
         repeats = points[..., 1:] <= points[..., :-1]
+    return points
+
+
+def reference_draw_responses(rng, shape, max_flips=8):
+    """Padded breakpoint rows, flip counts and leading signs, as the
+    full-row sampler drew them for every row, dead or live."""
+    flips = 2 * rng.integers(0, max_flips // 2 + 1, size=shape)
+    points = reference_draw_breakpoints(rng, flips, 2 * (max_flips // 2))
     signs = 1.0 - 2.0 * rng.integers(0, 2, size=shape)
     return points, flips, signs
+
+
+def reference_live_draw(rng, trials, n, max_flips=8):
+    """``_draw_trials`` with the live rows found by ``flips.all(axis=1)`` and
+    the breakpoints drawn by ``reference_draw_breakpoints``."""
+    owner = np.repeat(np.arange(trials), rng.integers(1, 5, size=trials))
+    flips = 2 * rng.integers(0, max_flips // 2 + 1, size=(owner.size, n), dtype=np.int8)
+    mass = rng.standard_exponential(owner.size)
+    live = np.flatnonzero(flips.all(axis=1))
+    points = reference_draw_breakpoints(rng, flips[live], 2 * (max_flips // 2))
+    signs = 1.0 - 2.0 * rng.integers(0, 2, size=(live.size, n))
+    return _TrialDraw(owner, flips, mass / np.bincount(owner, mass)[owner], live, points, signs)
+
+
+def reference_pair_mask_overlaps(breakpoints, flips, signs):
+    """``sign_overlaps`` with its pair mask broadcast from ``np.arange``, as
+    before the mask was taken from a table; the arithmetic is the same."""
+    points = np.asarray(breakpoints, dtype=float)
+    lead, width = points.shape[:-1], points.shape[-1]
+    count = math.prod(lead)
+    pairs = np.reshape(flips, -1) // 2
+    used = np.arange(width // 2) < pairs[:, None]
+    t0, t1 = np.compress(used.reshape(-1), points.reshape(used.size, 2), axis=0).T
+    tau = np.tan(0.25 * (t0 + t1))
+    half = np.sin(0.5 * (t1 - t0))
+    tau_sq = tau * tau
+    half /= 1.0 + tau_sq
+    rows = np.repeat(np.arange(count), pairs)
+    a = np.bincount(rows, half * (1.0 - tau_sq), minlength=count)
+    b = np.bincount(rows, half * (2.0 * tau), minlength=count)
+    scale = -4.0 * np.reshape(signs, -1)
+    return np.stack([scale * a, scale * b], axis=-1).reshape(lead + (2,))
 
 
 def reference_draw_trials(rng, trials, n, max_strategies=4):
@@ -379,18 +418,21 @@ class TestVerifyBound:
         assert first == second
 
 
-class RepeatFirstDraw:
-    """Generator wrapper whose first uniform draw repeats one value per row."""
+class PlantRepeat:
+    """Generator wrapper: in its first uniform draw, breakpoint row ``row`` (an
+    index or a slice) repeats its first value.  It records each draw's rows."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, row):
         self.rng = np.random.default_rng(seed)
-        self.repeated = False
+        self.row = row
+        self.rows_drawn = []
 
     def uniform(self, low, high, size):
         out = self.rng.uniform(low, high, size)
-        if not self.repeated:
-            self.repeated = True
-            out[..., :] = out[..., :1]
+        rows = out.reshape(-1, size[-1])  # a view: the draw is contiguous
+        if not self.rows_drawn:
+            rows[self.row, 1] = rows[self.row, 0]
+        self.rows_drawn.append(len(rows))
         return out
 
     def __getattr__(self, name):
@@ -434,10 +476,10 @@ class TestBatchedSampler:
         np.testing.assert_allclose(np.bincount(draw.owner, draw.weights), 1.0, atol=1e-12)
 
     def test_repeated_breakpoints_are_drawn_again(self):
-        rng = RepeatFirstDraw(14)
+        rng = PlantRepeat(14, slice(None))  # every row
         flips = 2 * np.random.default_rng(14).integers(1, 5, size=(50, 3))
         points = _draw_breakpoints(rng, flips, 8)
-        assert rng.repeated
+        assert rng.rows_drawn == [flips.size, flips.size]
         for row, count in zip(points.reshape(-1, 8), flips.ravel()):
             assert np.all(np.diff(row[:count]) > 0.0)
 
@@ -479,6 +521,64 @@ class TestBatchedSampler:
             tracemalloc.stop()
             assert report.trials == trials and report.violations == 0
         assert peaks[1] - peaks[0] < 20 * 2**20
+
+
+def every_count(rng, n, width):
+    """int8 flip counts, (rows, n), in which each party takes every count 0..width."""
+    column = np.repeat(np.arange(width + 1), 3)
+    return np.stack([rng.permutation(column) for _ in range(n)], axis=1).astype(np.int8)
+
+
+class TestKnownValueTables:
+    """The padding table, the live-row reduction and the pair-mask table
+    against the broadcast masks they replaced, kept above as references:
+    every seeded draw and overlap is bit for bit the same."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("max_flips", [1, 2, 7, 8])
+    def test_padding_matches_the_masked_copy(self, n, max_flips):
+        width = 2 * (max_flips // 2)  # 0, 2, 6 and 8
+        flips = every_count(np.random.default_rng([50, n, width]), n, width)
+        got = _draw_breakpoints(np.random.default_rng([51, n]), flips, width)
+        want = reference_draw_breakpoints(np.random.default_rng([51, n]), flips, width)
+        assert got.shape == flips.shape + (width,)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("max_flips", [1, 2, 7, 8])
+    def test_draw_matches_the_reference_draw(self, n, max_flips):
+        seed = [52, n, max_flips]
+        got = _draw_trials(np.random.default_rng(seed), 300, n, max_flips=max_flips)
+        want = reference_live_draw(np.random.default_rng(seed), 300, n, max_flips)
+        np.testing.assert_array_equal(got.live, np.flatnonzero(got.flips.all(axis=1)))
+        for name, a, b in zip(_TrialDraw._fields, got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("max_flips", [1, 2, 7, 8])
+    def test_pair_mask_matches_the_broadcast_mask(self, n, max_flips):
+        width = 2 * (max_flips // 2)
+        rng = np.random.default_rng([53, n, width])
+        flips = every_count(rng, n, width) // 2 * 2  # the kernel takes even counts
+        points = _draw_breakpoints(rng, flips, width)
+        signs = 1.0 - 2.0 * rng.integers(0, 2, size=flips.shape)
+        got = sign_overlaps(points, flips, signs)
+        assert np.array_equal(got, reference_pair_mask_overlaps(points, flips, signs))
+
+    def test_only_the_row_with_a_repeat_is_drawn_again(self):
+        flips = 2 * np.random.default_rng(54).integers(1, 5, size=(40, 3), dtype=np.int8)
+        row = 17
+        got_rng, want_rng = PlantRepeat(55, row), PlantRepeat(55, row)
+        got = _draw_breakpoints(got_rng, flips, 8)
+        want = reference_draw_breakpoints(want_rng, flips, 8)
+        assert got_rng.rows_drawn == [flips.size, 1] == want_rng.rows_drawn
+        assert np.array_equal(got, want)
+        # against the same stream unplanted: the planted row alone differs
+        plain = _draw_breakpoints(np.random.default_rng(55), flips, 8).reshape(-1, 8)
+        flat, others = got.reshape(-1, 8), np.arange(flips.size) != row
+        assert np.array_equal(flat[others], plain[others])
+        assert not np.array_equal(flat[row], plain[row])
+        assert np.all(np.diff(flat[row, : flips.flat[row]]) > 0.0)
 
 
 class TestLaw:

@@ -135,7 +135,7 @@ def pair_reference(values, start, max_sweeps, tol):
     (3, 4), ... for odd k, an unpaired last party alone.  A pair takes the top
     singular pair of its 2x2 gradient from np.linalg.svd, not from the
     kernel's closed form; a lone party turns to its gradient's angle
-    atan2(g1, g0), as the kernel's np.angle does.  Returns the (directions,
+    atan2(g1, g0), as the kernel's np.arctan2 does.  Returns the (directions,
     value) before the first sweep and after each one, and whether the last
     sweep gained under tol.
     """
@@ -350,6 +350,18 @@ class TestBatchedAscent:
         np.testing.assert_array_equal(result.maximizer, np.tile([1.0, 0.0], (n, 1)))
         # 0 = 0 is certified before any sweep
         assert result.iterations == 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_negative_zero_tensor_turns_every_block_to_x(self, n):
+        # every gradient is a signed zero; the block that ends at party N reads
+        # its gradient straight from the tensor, where atan2(-0.0, -0.0) = -pi
+        # would turn it to (-1, 0), so it must make -0.0 into 0.0 as a sum does
+        values = np.full((2,) * n, -0.0)
+        starts = _start_points(values, OptimizerConfig(random_starts=0))[1:]  # the 2N axis starts
+        ds, _, sweeps, _ = _ascend(values, starts, 1, math.inf)
+        np.testing.assert_array_equal(sweeps, 1)
+        np.testing.assert_array_equal(ds, np.broadcast_to([1.0, 0.0], ds.shape))
+        assert not np.signbit(ds).any()
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_zero_lone_gradient_turns_to_x_and_lowers_no_value(self, n):
@@ -656,7 +668,8 @@ class TestCornerPath:
 
     def test_tie_goes_to_the_first_entry_in_party_order(self):
         # |T_21| = |T_12|: party 1's index runs fastest, so T_21 comes first
-        corner = _corner(np.array([[0.0, 0.5], [0.5, 0.0]]))
+        values = np.array([[0.0, 0.5], [0.5, 0.0]])
+        corner = _corner(values, np.abs(values))
         np.testing.assert_array_equal(corner, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_unallocatable_draw_still_raises(self, monkeypatch):
