@@ -79,8 +79,8 @@ def _cmd_check(args: argparse.Namespace) -> tuple[str, bool]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> tuple[str, bool]:
-    points = ghz_scan(args.ghz, args.v_min, args.v_max, args.steps, _optimizer_config(args))
-    return _scan_text(points, args.format), all(p.report.certified for p in points)
+    points = ghz_scan(args.ghz, args.v_min, args.v_max, args.steps)
+    return _scan_text(points, args.format), True
 
 
 def _cmd_verify_bound(args: argparse.Namespace) -> tuple[str, bool]:
@@ -95,7 +95,7 @@ def _cmd_verify_bound(args: argparse.Namespace) -> tuple[str, bool]:
     return json.dumps(asdict(report), indent=2), report.certified
 
 
-def _add_optimizer_flags(sub: argparse.ArgumentParser, certify_note: str = "") -> None:
+def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=OptimizerConfig.seed, help="master PRNG seed")
     sub.add_argument(
         "--starts", type=int, default=OptimizerConfig.random_starts, help="random multistart count"
@@ -103,14 +103,14 @@ def _add_optimizer_flags(sub: argparse.ArgumentParser, certify_note: str = "") -
     sub.add_argument(
         "--require-certified",
         action="store_true",
-        help="exit with code 3 unless the Fourier bound proves the T_max found" + certify_note,
+        help="exit with code 3 unless the Fourier bound proves the T_max found",
     )
 
 
 def _subcommand(sub, name: str, help: str, handler) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=help)
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(handler=handler, require_certified=False)  # tensor has no such flag
+    p.set_defaults(handler=handler, require_certified=False)  # tensor and scan have no such flag
     return p
 
 
@@ -139,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True, help="number of grid points")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_optimizer_flags(p, " (never here: every closed-form GHZ row is certified)")
 
     p = _subcommand(
         sub, "verify-bound", "stress-test the bound with random ensembles", _cmd_verify_bound

@@ -20,7 +20,7 @@ from .correlation import CorrelationTensor
 from .errors import DomainError, _check_count, _check_party_count
 from .lhv import _two_setting_holds
 from .states import MAX_STATE_PARTIES
-from .tensor_analysis import OptimizerConfig, _check_start_count, sum_of_squares, t_max
+from .tensor_analysis import OptimizerConfig, sum_of_squares, t_max
 
 REGION_LOCAL = "LOCAL"
 REGION_PARADOX = "PARADOX"
@@ -117,20 +117,14 @@ def classify(report: CriterionReport) -> str:
     return REGION_PARADOX if report.two_setting_model else REGION_NONLOCAL
 
 
-def ghz_scan(
-    n_parties: int,
-    v_min: float,
-    v_max: float,
-    steps: int,
-    config: OptimizerConfig | None = None,
-) -> list[ScanPoint]:
+def ghz_scan(n_parties: int, v_min: float, v_max: float, steps: int) -> list[ScanPoint]:
     """Evaluate the criterion on a uniform visibility grid.
 
     ``steps`` is the number of grid points (numpy.linspace semantics:
     both endpoints included for steps >= 2, just v_min for steps = 1).
     Rows take the closed form, with no tensor: GHZ(N, V)'s correlation function
     is V cos(a_1 + ... + a_N), so T_max = V, certified, and sum_sq = V*V * 2^(N-1),
-    as TestGhzScan in tests/test_criterion.py pins.  ``config`` is only validated.
+    as TestGhzScan in tests/test_criterion.py pins.
     """
     if not 0.0 <= v_min <= v_max <= 1.0:
         raise DomainError(
@@ -140,7 +134,6 @@ def ghz_scan(
     if steps > np.iinfo(np.intp).max // 8:  # past intp.max bytes numpy raises ValueError
         raise DomainError(f"steps={steps} is more than numpy can address")
     _check_party_count(n_parties, MAX_STATE_PARTIES)
-    _check_start_count(config or OptimizerConfig(), n_parties)
     unit_sq = 2.0 ** (n_parties - 1)
     points = []
     for v in np.linspace(v_min, v_max, steps).tolist():

@@ -187,15 +187,14 @@ def _draw_trials(
     rng: np.random.Generator,
     trials: int,
     n_parties: int,
-    max_strategies: int = _MAX_STRATEGIES,
-    max_flips: int = _MAX_FLIPS,
+    max_flips: int = _MAX_FLIPS,  # tests plant draws of width 0, 2 and 6 and with no live row
 ) -> _TrialDraw:
-    """Sample ensembles: strategy count uniform in 1..max_strategies,
+    """Sample ensembles: strategy count uniform in 1.._MAX_STRATEGIES,
     weights Dirichlet(1), i.e. exponentials normalised per trial, flip
     counts uniform over {0, 2, ..., max_flips}, breakpoints uniform and
     leading signs uniform.  Breakpoints and signs are drawn for the live
     rows alone."""
-    owner = np.repeat(np.arange(trials), rng.integers(1, max_strategies + 1, size=trials))
+    owner = np.repeat(np.arange(trials), rng.integers(1, _MAX_STRATEGIES + 1, size=trials))
     flips = 2 * rng.integers(0, max_flips // 2 + 1, size=(owner.size, n_parties), dtype=np.int8)
     mass = rng.standard_exponential(owner.size)
     live = np.flatnonzero(np.logical_and.reduce(flips.T.copy()))  # all(axis=1) is 6-10x slower
@@ -217,13 +216,10 @@ def _trial_values(draw: _TrialDraw, values: np.ndarray) -> np.ndarray:
     return np.bincount(draw.owner[live], rows, minlength=draw.owner[-1] + 1)
 
 
-def random_ensemble(
-    rng: np.random.Generator, n_parties: int, max_strategies: int = _MAX_STRATEGIES
-) -> _TrialDraw:
+def random_ensemble(rng: np.random.Generator, n_parties: int) -> _TrialDraw:
     """Sample one ensemble as a one-trial draw of ``verify_bound``'s sampler."""
     _check_party_count(n_parties)
-    _check_count("max_strategies", max_strategies)
-    return _draw_trials(rng, 1, n_parties, max_strategies)
+    return _draw_trials(rng, 1, n_parties)
 
 
 def ensemble_inner_product(ensemble: _TrialDraw, tensor: CorrelationTensor) -> float:

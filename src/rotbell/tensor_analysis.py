@@ -188,14 +188,6 @@ def _fourier_bound(values: np.ndarray) -> float:
     return float(np.abs(contract(values, [_FOURIER_ROWS] * values.ndim)).sum())
 
 
-def _check_start_count(config: OptimizerConfig, n: int) -> None:
-    """Raise where the (random_starts, n) float64 start-angle draw cannot be allocated:
-    DomainError past intp.max bytes (numpy raises ValueError there), else MemoryError."""
-    if config.random_starts > np.iinfo(np.intp).max // (8 * n):
-        raise DomainError(f"random_starts={config.random_starts} is more than numpy can address")
-    np.empty((config.random_starts, n))  # MemoryError where the random draw cannot be allocated
-
-
 def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> TMaxResult:
     """Largest correlation-function value over all planar product settings.
 
@@ -213,7 +205,11 @@ def t_max(tensor: CorrelationTensor, config: OptimizerConfig | None = None) -> T
     n = values.ndim
     bound = _fourier_bound(values)
     target = bound * (1 - CERTIFY_RTOL / 2)
-    _check_start_count(cfg, n)
+    # even on the corner path, raise where the (random_starts, n) float64 start-angle draw
+    # cannot be allocated: DomainError past intp.max bytes (numpy's ValueError), else MemoryError
+    if cfg.random_starts > np.iinfo(np.intp).max // (8 * n):
+        raise DomainError(f"random_starts={cfg.random_starts} is more than numpy can address")
+    np.empty((cfg.random_starts, n))
     magnitudes = np.abs(values)
     value = float(magnitudes.max())  # the corner's value |T_i*|
     if value >= target:

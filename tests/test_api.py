@@ -170,12 +170,6 @@ COUNT_ARGUMENTS = [
         InvalidSizeError,
         3,
     ),
-    (
-        "random_ensemble.max_strategies",
-        lambda k: random_ensemble(np.random.default_rng(0), 3, k),
-        DomainError,
-        3,
-    ),
     ("verify_bound.trial_count", lambda k: verify_bound(GENERIC, k), DomainError, 3),
     ("verify_bound.seed", lambda k: verify_bound(GENERIC, 5, seed=k), DomainError, 3),
     (

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotbell import CorrelationTensor, cli
+from rotbell import CorrelationTensor, OptimizerConfig, cli, criterion, lhv, t_max
 from rotbell.cli import main
 from rotbell.states import MAX_STATE_PARTIES
 
@@ -108,20 +108,14 @@ class TestRequireCertified:
         assert code == 0
         assert json.loads(out)["certified"] is False
 
-    def test_scan_rows_are_certified(self, capsys):
+    @pytest.mark.parametrize("flag", [("--seed", "0"), ("--starts", "5"), ("--require-certified",)])
+    def test_scan_takes_no_optimizer_flag(self, capsys, flag):
+        # its closed-form rows are always certified and draw no start
         argv = ("scan", "--ghz", "4", "--v-min", "0.3", "--v-max", "0.4", "--steps", "3")
-        code, out, _ = run_cli(capsys, *argv, "--require-certified")
-        assert code == 0
-        assert out.count("\n") == 4
-
-    def test_scan_help_says_it_never_exits_3(self):
-        helps = {
-            name: next(a.help for a in sub._actions if a.dest == "require_certified")
-            for name, sub in subcommand_parsers().items()
-            if name != "tensor"
-        }
-        assert "never here" in helps.pop("scan")
-        assert all("never" not in text for text in helps.values())
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, *flag])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestTmaxCommand:
@@ -376,7 +370,6 @@ class TestArgumentErrors:
             ("tmax", "--in", "T"),
             ("check", "--in", "T"),
             ("verify-bound", "--in", "T", "--trials", "10"),
-            ("scan", "--ghz", "4", "--v-min", "0.3", "--v-max", "0.4", "--steps", "3"),
         ],
     )
     def test_negative_seed_or_starts_exits_2(self, tmp_path, capsys, argv, flags):
@@ -403,7 +396,6 @@ class TestArgumentErrors:
             ("tmax", "--in", "T"),
             ("check", "--in", "T"),
             ("verify-bound", "--in", "T", "--trials", "10"),
-            ("scan", "--ghz", "4", "--v-min", "0.3", "--v-max", "0.4", "--steps", "3"),
         ],
     )
     def test_unallocatable_starts_exit_2(self, tmp_path, capsys, argv, flags):
@@ -431,7 +423,7 @@ class TestArgumentErrors:
         assert excinfo.value.code == 2
 
 
-#: Optimizer flags shared by every subcommand but ``tensor``.
+#: Optimizer flags shared by every subcommand but ``tensor`` and ``scan``.
 OPTIMIZER_FLAGS = {
     ("--seed",): ("seed", 0, int, False, None),
     ("--starts",): ("starts", 64, int, False, None),
@@ -456,7 +448,6 @@ CLI_SURFACE = {
         ("--steps",): ("steps", None, int, True, None),
         ("--format",): ("format", "csv", None, False, ("csv", "json")),
         **OUT_FLAG,
-        **OPTIMIZER_FLAGS,
     },
     "verify-bound": {
         **IN_FLAG,
@@ -494,3 +485,39 @@ class TestParserSurface:
     def test_handler(self, name):
         handler = subcommand_parsers()[name].get_default("handler")
         assert handler is getattr(cli, "_cmd_" + name.replace("-", "_"))
+
+
+#: The shortest valid argv of every subcommand, its tensor file as T.
+MINIMAL_ARGV = {
+    "tensor": ("tensor", "--ghz", "3", "--visibility", "0.5"),
+    "tmax": ("tmax", "--in", "T"),
+    "check": ("check", "--in", "T"),
+    "scan": ("scan", "--ghz", "3", "--v-min", "0.3", "--v-max", "0.4", "--steps", "3"),
+    "verify-bound": ("verify-bound", "--in", "T", "--trials", "5"),
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        name
+        for name, sub in subcommand_parsers().items()
+        if any(action.dest == "starts" for action in sub._actions)
+    ],
+)
+def test_every_optimizer_flag_has_a_reader(tmp_path, capsys, monkeypatch, name):
+    # a subcommand that takes --seed and --starts hands both to the optimizer
+    seen = []
+
+    def spy(tensor, config=None):
+        seen.append(config)
+        return t_max(tensor, config)
+
+    for module in (cli, criterion, lhv):
+        monkeypatch.setattr(module, "t_max", spy)
+    path = tmp_path / "t.json"
+    path.write_text('{"n": 3, "entries": {"111": 0.5, "122": 0.25, "212": -0.5}}')
+    argv = [str(path) if arg == "T" else arg for arg in MINIMAL_ARGV[name]]
+    code, _, _ = run_cli(capsys, *argv, "--seed", "11", "--starts", "3")
+    assert code == 0
+    assert seen and all(c == OptimizerConfig(random_starts=3, seed=11) for c in seen)

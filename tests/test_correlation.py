@@ -354,6 +354,14 @@ class TestTensorLayoutAndJson:
         with pytest.raises(DomainError):
             CorrelationTensor.from_json_dict({"n": 2, "entries": {"11": bad}})
 
+    @pytest.mark.parametrize(
+        "values", [[0.5 + 0.5j, 0.2], [0.5 + 0j, 0.2], np.array([0.5, 0.2], dtype=np.complex64)]
+    )
+    def test_rejects_complex_entries(self, values):
+        # a float cast would keep [0.5, 0.2] and only warn
+        with pytest.raises(DomainError, match="^tensor entries must be real$"):
+            CorrelationTensor(1, values)
+
     def test_tensor_bounds_validation(self):
         with pytest.raises(DomainError):
             CorrelationTensor(1, np.array([1.5, 0.0]))

@@ -9,7 +9,6 @@ from rotbell import (
     CorrelationTensor,
     DomainError,
     InvalidSizeError,
-    OptimizerConfig,
     REGION_LOCAL,
     REGION_NONLOCAL,
     REGION_PARADOX,
@@ -216,80 +215,50 @@ class TestGhzScan:
                 assert point == ScanPoint(point.visibility, report, classify(report))
 
     @pytest.mark.parametrize(
-        "args, starts, error, message",
+        "args, error, message",
         [
-            ((0, 0.0, 1.0, 3), None, InvalidSizeError, "n_parties must be >= 1, got 0"),
-            ((-1, 0.0, 1.0, 3), None, InvalidSizeError, "n_parties must be >= 1, got -1"),
-            (
-                (15, 0.0, 1.0, 3),
-                None,
-                InvalidSizeError,
-                "n_parties=15 exceeds the configured cap of 14",
-            ),
+            ((0, 0.0, 1.0, 3), InvalidSizeError, "n_parties must be >= 1, got 0"),
+            ((-1, 0.0, 1.0, 3), InvalidSizeError, "n_parties must be >= 1, got -1"),
+            ((15, 0.0, 1.0, 3), InvalidSizeError, "n_parties=15 exceeds the configured cap of 14"),
             (
                 (100, 0.0, 1.0, 3),
-                None,
                 InvalidSizeError,
                 "n_parties=100 exceeds the configured cap of 14",
             ),
             (
                 (3, 0.5, 0.4, 3),
-                None,
                 DomainError,
                 "need 0 <= v_min <= v_max <= 1, got v_min=0.5, v_max=0.4",
             ),
             (
                 (3, 0.0, 1.5, 3),
-                None,
                 DomainError,
                 "need 0 <= v_min <= v_max <= 1, got v_min=0.0, v_max=1.5",
             ),
             (
                 (3, -0.1, 0.5, 3),
-                None,
                 DomainError,
                 "need 0 <= v_min <= v_max <= 1, got v_min=-0.1, v_max=0.5",
             ),
-            ((3, 0.0, 1.0, 0), None, DomainError, "steps must be >= 1, got 0"),
+            ((3, 0.0, 1.0, 0), DomainError, "steps must be >= 1, got 0"),
             (
                 (3, 0.0, 1.0, 2**62),
-                None,
                 DomainError,
                 "steps=4611686018427387904 is more than numpy can address",
             ),
-            (
-                (4, 0.3, 0.4, 3),
-                5 * 10**18,
-                DomainError,
-                "random_starts=5000000000000000000 is more than numpy can address",
-            ),
-            (
-                (4, 0.3, 0.4, 3),
-                10**15,
-                MemoryError,
-                "Unable to allocate 28.4 PiB for an array with shape "
-                "(1000000000000000, 4) and data type float64",
-            ),
-            # order: range, steps, party count, start count
+            # order: range, steps, party count
             (
                 (0, 0.5, 0.4, 3),
-                None,
                 DomainError,
                 "need 0 <= v_min <= v_max <= 1, got v_min=0.5, v_max=0.4",
             ),
-            ((0, 0.3, 0.4, 0), 10**15, DomainError, "steps must be >= 1, got 0"),
-            (
-                (15, 0.3, 0.4, 3),
-                10**15,
-                InvalidSizeError,
-                "n_parties=15 exceeds the configured cap of 14",
-            ),
+            ((0, 0.3, 0.4, 0), DomainError, "steps must be >= 1, got 0"),
+            ((15, 0.3, 0.4, 3), InvalidSizeError, "n_parties=15 exceeds the configured cap of 14"),
         ],
     )
-    def test_errors_match_recorded(self, args, starts, error, message):
+    def test_errors_match_recorded(self, args, error, message):
         # types and texts as recorded before the scan took the closed form
-        config = None if starts is None else OptimizerConfig(random_starts=starts)
         with pytest.raises(error) as excinfo:
-            ghz_scan(*args, config)
-        assert excinfo.type is error or error is MemoryError  # numpy raises a subclass
+            ghz_scan(*args)
+        assert excinfo.type is error
         assert str(excinfo.value) == message

@@ -496,19 +496,14 @@ class TestBatchedSampler:
             assert np.all(draw.flips % 2 == 0) and np.all(draw.flips <= max_flips)
             assert draw.points.shape[-1] == 2 * (max_flips // 2)
         assert random_strategy(rng, 5).n_parties == 5
-        draw = random_ensemble(rng, 4, max_strategies=2)
-        assert draw.flips.shape[1] == 4 and 1 <= draw.owner.size <= 2
+        draw = random_ensemble(rng, 4)
+        assert draw.flips.shape[1] == 4 and 1 <= draw.owner.size <= 4
         np.testing.assert_array_equal(draw.owner, 0)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_random_ensemble_rejects_party_count(self, n):
         with pytest.raises(InvalidSizeError, match="n_parties"):
-            random_ensemble(np.random.default_rng(17), n, 2)
-
-    @pytest.mark.parametrize("max_strategies", [0, -2, 1.5])
-    def test_random_ensemble_rejects_strategy_count(self, max_strategies):
-        with pytest.raises(DomainError, match="max_strategies"):
-            random_ensemble(np.random.default_rng(17), 3, max_strategies)
+            random_ensemble(np.random.default_rng(17), n)
 
     def test_memory_does_not_grow_with_trials(self):
         tensor = ghz_planar_tensor(8, 0.7)
