@@ -9,6 +9,7 @@ from rotbell import (
     CorrelationTensor,
     DomainError,
     InvalidSizeError,
+    OptimizerConfig,
     REGION_LOCAL,
     REGION_NONLOCAL,
     REGION_PARADOX,
@@ -262,3 +263,8 @@ class TestGhzScan:
             ghz_scan(*args)
         assert excinfo.type is error
         assert str(excinfo.value) == message
+
+    def test_takes_no_config(self):
+        # the closed form runs no optimizer, so there is no config to read
+        with pytest.raises(TypeError):
+            ghz_scan(4, 0.3, 0.4, 3, OptimizerConfig())

@@ -505,6 +505,16 @@ class TestBatchedSampler:
         with pytest.raises(InvalidSizeError, match="n_parties"):
             random_ensemble(np.random.default_rng(17), n)
 
+    def test_random_ensemble_takes_no_strategy_count(self):
+        with pytest.raises(TypeError):
+            random_ensemble(np.random.default_rng(17), 3, 2)
+
+    def test_random_ensemble_strategy_count_spans_one_to_four(self):
+        # every count in 1..4 comes up, and nothing past it
+        rng = np.random.default_rng(18)
+        counts = {random_ensemble(rng, 3).owner.size for _ in range(200)}
+        assert counts == {1, 2, 3, 4}
+
     def test_memory_does_not_grow_with_trials(self):
         tensor = ghz_planar_tensor(8, 0.7)
         verify_bound(tensor, 10)  # warm caches outside the measurement

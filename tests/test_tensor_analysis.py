@@ -677,6 +677,43 @@ class TestCornerPath:
         with pytest.raises(MemoryError):
             t_max(ghz_planar_tensor(4, 0.5), OptimizerConfig(random_starts=10**15))
 
+    @pytest.mark.parametrize(
+        "starts, error, message",
+        [
+            (
+                5 * 10**18,
+                DomainError,
+                "random_starts=5000000000000000000 is more than numpy can address",
+            ),
+            (
+                10**15,
+                MemoryError,
+                "Unable to allocate 28.4 PiB for an array with shape "
+                "(1000000000000000, 4) and data type float64",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("corner", [True, False])
+    def test_start_count_errors_match_recorded(self, monkeypatch, corner, starts, error, message):
+        # texts as recorded when ghz_scan still took a config; both paths raise before any draw
+        values = ghz_planar_tensor(4, 0.5).values.copy()
+        values[(1, 0, 0, 0)] = 0.0 if corner else 0.25
+        forbid_search(monkeypatch)
+        with pytest.raises(error) as excinfo:
+            t_max(CorrelationTensor(4, values), OptimizerConfig(random_starts=starts))
+        assert excinfo.type is error or error is MemoryError  # numpy raises a subclass
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_start_count_limit_is_intp_max_bytes(self, n, monkeypatch):
+        # one start past intp.max bytes is a DomainError; at the limit numpy raises MemoryError
+        limit = np.iinfo(np.intp).max // (8 * n)
+        forbid_search(monkeypatch)
+        with pytest.raises(DomainError, match=f"^random_starts={limit + 1} is more"):
+            t_max(ghz_planar_tensor(n, 0.5), OptimizerConfig(random_starts=limit + 1))
+        with pytest.raises(MemoryError):
+            t_max(ghz_planar_tensor(n, 0.5), OptimizerConfig(random_starts=limit))
+
     @pytest.mark.parametrize("eps, corner", [(1e-15, True), (1e-9, False)])
     @pytest.mark.parametrize("n", [3, 6, 9])
     def test_boundary_at_target(self, n, eps, corner):
