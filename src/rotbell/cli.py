@@ -96,6 +96,7 @@ def _cmd_verify_bound(args: argparse.Namespace) -> tuple[str, bool]:
 
 
 def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--in", dest="infile", required=True, metavar="FILE.json")
     sub.add_argument("--seed", type=int, default=OptimizerConfig.seed, help="master PRNG seed")
     sub.add_argument(
         "--starts", type=int, default=OptimizerConfig.random_starts, help="random multistart count"
@@ -126,11 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--visibility", type=float, required=True, metavar="V")
 
     p = _subcommand(sub, "tmax", "maximize a tensor over planar settings", _cmd_tmax)
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE.json")
     _add_optimizer_flags(p)
 
     p = _subcommand(sub, "check", "evaluate the exclusion criterion for a tensor", _cmd_check)
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE.json")
     _add_optimizer_flags(p)
 
     p = _subcommand(sub, "scan", "scan the criterion over a visibility grid", _cmd_scan)
@@ -143,14 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(
         sub, "verify-bound", "stress-test the bound with random ensembles", _cmd_verify_bound
     )
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE.json")
+    _add_optimizer_flags(p)
     p.add_argument("--trials", type=int, default=1000, metavar="T")
     p.add_argument(
         "--skip-optimal",
         action="store_true",
         help="do not add the saturating strategy to the trial set",
     )
-    _add_optimizer_flags(p)
 
     return parser
 

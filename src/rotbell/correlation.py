@@ -35,15 +35,14 @@ class CorrelationTensor:
 
     def __post_init__(self):
         _check_party_count(self.n_parties)
-        if np.iscomplexobj(self.values):  # a float cast would drop the imaginary part
+        if np.asarray(self.values).dtype.kind in "USbc":  # each would cast to float silently
             raise DomainError("tensor entries must be real")
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float, order="C")  # owned, never the caller's array
         if vals.shape != (2,) * self.n_parties:
             raise ShapeError(f"expected shape {(2,) * self.n_parties}, got {vals.shape}")
         peak = float(np.max(np.abs(vals)))
         if not peak <= _ENTRY_BOUND:  # NaN fails too
             raise DomainError(f"tensor entry magnitude {peak} exceeds 1 or is not finite")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, _check_count, _check_party_count
 
-_TWO_PI = 2.0 * math.pi
-
 #: Largest possible projection norm of a +/-1-valued response.
 PROJECTION_NORM_BOUND = 4.0 / math.sqrt(math.pi)
 
@@ -44,7 +42,7 @@ class ResponseFunction:
         bps = tuple(float(b) for b in breakpoints)
         if len(bps) % 2 != 0:
             raise DomainError(f"breakpoint count must be even, got {len(bps)}")
-        if any(not 0.0 <= b < _TWO_PI for b in bps):
+        if any(not 0.0 <= b < math.tau for b in bps):
             raise DomainError("breakpoints must lie in [0, 2*pi)")
         if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
             raise DomainError("breakpoints must be strictly increasing")
@@ -56,7 +54,7 @@ class ResponseFunction:
 
     def __call__(self, alpha):
         """Evaluate at one angle or a numpy array of angles; returns +/-1."""
-        a = np.asarray(alpha, dtype=float) % _TWO_PI
+        a = np.asarray(alpha, dtype=float) % math.tau
         crossings = np.searchsorted(self.breakpoints, a, side="right")
         out = self.leading_sign * np.where(crossings % 2 == 0, 1.0, -1.0)
         return out if out.ndim else float(out)
@@ -110,8 +108,8 @@ def saturating_response(psi: float) -> ResponseFunction:
     Its overlaps are 4 * (cos psi, sin psi), so its projection norm attains
     the bound 4/sqrt(pi).
     """
-    b1 = float(psi + math.pi / 2.0) % _TWO_PI
-    b2 = float(psi + 3.0 * math.pi / 2.0) % _TWO_PI
+    b1 = float(psi + math.pi / 2.0) % math.tau
+    b2 = float(psi + 3.0 * math.pi / 2.0) % math.tau
     # sgn cos is -1 on [b1, b2) unless that interval wraps past 2*pi
     return ResponseFunction(sorted((b1, b2)), 1 if b1 < b2 else -1)
 
@@ -142,7 +140,7 @@ def quadrature_inner_product(
             f"{nodes_per_axis}^{n_parties} grid nodes exceed the budget of "
             f"{max_evaluations}; raise max_evaluations"
         )
-    nodes = _TWO_PI * np.arange(nodes_per_axis) / nodes_per_axis
+    nodes = math.tau * np.arange(nodes_per_axis) / nodes_per_axis
     grids = np.meshgrid(*([nodes] * n_parties), indexing="ij", sparse=True)
-    weight = _TWO_PI / nodes_per_axis
+    weight = math.tau / nodes_per_axis
     return weight**n_parties * float(np.sum(np.asarray(f(*grids)) * np.asarray(g(*grids))))

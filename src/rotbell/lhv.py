@@ -25,12 +25,7 @@ import numpy as np
 
 from .correlation import CorrelationTensor, product_contraction
 from .errors import DomainError, ShapeError, _check_count, _check_party_count
-from .functional_space import (
-    _TWO_PI,
-    ResponseFunction,
-    saturating_response,
-    sign_overlaps,
-)
+from .functional_space import ResponseFunction, saturating_response, sign_overlaps
 from .states import _TOL
 from .tensor_analysis import OptimizerConfig, sum_of_squares, t_max
 
@@ -111,20 +106,18 @@ def lr_inner_product(strategy: DeterministicStrategy, tensor: CorrelationTensor)
 
 def _saturating_strategy(maximizer: np.ndarray) -> DeterministicStrategy:
     return DeterministicStrategy(
-        saturating_response(math.atan2(dy, dx) % _TWO_PI) for dx, dy in maximizer
+        saturating_response(math.atan2(dy, dx) % math.tau) for dx, dy in maximizer
     )
 
 
-def optimal_strategy(
-    tensor: CorrelationTensor, config: OptimizerConfig | None = None
-) -> tuple[DeterministicStrategy, float]:
+def optimal_strategy(tensor: CorrelationTensor) -> tuple[DeterministicStrategy, float]:
     """The deterministic strategy attaining the generalized Bell bound.
 
     Aligning each party's saturating response with the maximizing
     direction gives overlap vectors 4*(cos psi_j, sin psi_j), so the
     inner product is exactly 4^N times the maximal tensor component.
     """
-    result = t_max(tensor, config)
+    result = t_max(tensor)
     strategy = _saturating_strategy(result.maximizer)
     return strategy, lr_inner_product(strategy, tensor)
 
@@ -164,10 +157,10 @@ def _draw_breakpoints(rng: np.random.Generator, flips: np.ndarray, width: int) -
     breakpoint is drawn again.
     """
     # row c of pad: -inf on the c drawn slots, then 2*pi + k, above every breakpoint and increasing
-    pad = np.where(np.tri(width + 1, width, -1, dtype=bool), -np.inf, _TWO_PI + np.arange(width))
+    pad = np.where(np.tri(width + 1, width, -1, dtype=bool), -np.inf, math.tau + np.arange(width))
 
     def sorted_rows(count: np.ndarray) -> np.ndarray:
-        rows = rng.uniform(0.0, _TWO_PI, (count.size, width))
+        rows = rng.uniform(0.0, math.tau, (count.size, width))
         np.maximum(rows, pad.take(count, axis=0), out=rows)
         rows.sort(axis=-1)
         return rows

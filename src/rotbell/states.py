@@ -45,7 +45,9 @@ class StateVector:
 
     def __post_init__(self):
         _check_party_count(self.n_parties)
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        if np.asarray(self.amplitudes).dtype.kind in "USb":  # a complex cast parses strings
+            raise DomainError("amplitudes must be numbers")
+        amp = np.array(self.amplitudes, dtype=complex, order="C")  # owned, never the caller's
         if amp.shape != (2**self.n_parties,):
             raise ShapeError(
                 f"expected {2**self.n_parties} amplitudes for {self.n_parties} parties, "
@@ -54,7 +56,6 @@ class StateVector:
         norm_sq = float(np.sum(np.abs(amp) ** 2))
         if not abs(norm_sq - 1.0) <= _TOL:  # NaN fails too
             raise DomainError(f"squared-amplitude sum {norm_sq} differs from 1")
-        amp = amp.copy()
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
@@ -87,6 +88,8 @@ class DensityMatrix:
     def __post_init__(self):
         _check_party_count(self.n_parties)
         dim = 2**self.n_parties
+        if np.asarray(self.entries).dtype.kind in "USb":  # a complex cast parses strings
+            raise DomainError("density matrix entries must be numbers")
         mat = np.asarray(self.entries, dtype=complex)
         if mat.shape != (dim, dim):
             raise ShapeError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")

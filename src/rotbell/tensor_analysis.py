@@ -22,7 +22,6 @@ import numpy as np
 
 from .correlation import CorrelationTensor, product_contraction
 from .errors import DomainError, ShapeError, _check_count
-from .functional_space import _TWO_PI
 from .states import contract
 
 #: ``certified`` holds when the Fourier bound exceeds the value by at most this fraction of it.
@@ -174,7 +173,7 @@ def _start_points(values: np.ndarray, config: OptimizerConfig) -> np.ndarray:
     on_j = np.eye(n, dtype=int)
     axis = np.eye(2)[np.stack([on_j, 1 - on_j], axis=1)]  # index 0 -> x, 1 -> y, as in _corner
 
-    angles = np.random.default_rng(config.seed).uniform(0, _TWO_PI, (config.random_starts, n))
+    angles = np.random.default_rng(config.seed).uniform(0, math.tau, (config.random_starts, n))
     seeded = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     corner = _corner(values, np.abs(values))
     return np.concatenate([corner[None], axis.reshape(2 * n, n, 2), seeded])

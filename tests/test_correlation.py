@@ -362,6 +362,37 @@ class TestTensorLayoutAndJson:
         with pytest.raises(DomainError, match="^tensor entries must be real$"):
             CorrelationTensor(1, values)
 
+    @pytest.mark.parametrize(
+        "values", [["0.5", " 2e-1"], [b"0.5", b"0.2"], [True, False], np.array([True, False])]
+    )
+    def test_rejects_string_and_bool_entries(self, values):
+        # a float cast would parse the strings and count the bools as 1.0 and 0.0
+        with pytest.raises(DomainError, match="^tensor entries must be real$"):
+            CorrelationTensor(1, values)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32, np.float64])
+    def test_real_dtypes_construct_as_float64(self, dtype):
+        values = np.array([[1, 0], [-1, 0]], dtype=dtype)
+        tensor = CorrelationTensor(2, values)
+        assert tensor.values.dtype == np.float64
+        np.testing.assert_array_equal(tensor.values, values.astype(np.float64))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_values_are_an_owned_read_only_c_copy(self, order):
+        values = np.asarray(np.random.default_rng(4).uniform(-1, 1, (2, 2, 2)), order=order)
+        tensor = CorrelationTensor(3, values)
+        kept = values.copy()
+        values[0, 0, 1] = 0.25  # the caller's array, written after construction
+        np.testing.assert_array_equal(tensor.values, kept)
+        assert not np.shares_memory(tensor.values, values)
+        assert tensor.values.flags.c_contiguous and not tensor.values.flags.writeable
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_ghz_values_are_c_contiguous(self, n):
+        # ghz_planar_tensor reshapes its flat entries in F order
+        values = ghz_planar_tensor(n, 0.5).values
+        assert values.flags.c_contiguous and not values.flags.writeable
+
     def test_tensor_bounds_validation(self):
         with pytest.raises(DomainError):
             CorrelationTensor(1, np.array([1.5, 0.0]))

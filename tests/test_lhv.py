@@ -15,6 +15,7 @@ from rotbell import (
     DeterministicStrategy,
     DomainError,
     InvalidSizeError,
+    OptimizerConfig,
     ResponseFunction,
     ShapeError,
     ensemble_inner_product,
@@ -331,6 +332,11 @@ class TestOptimalStrategy:
     def test_zero_tensor(self):
         _, value = optimal_strategy(CorrelationTensor(2, np.zeros((2, 2))))
         assert value == pytest.approx(0.0, abs=1e-12)
+
+    def test_takes_no_config(self):
+        # it reads T_max's maximizer alone, so there is no config to read
+        with pytest.raises(TypeError):
+            optimal_strategy(ghz_planar_tensor(2, 1.0), OptimizerConfig())
 
     def test_saturation_ratio_for_random_tensors(self):
         rng = np.random.default_rng(8)

@@ -169,6 +169,29 @@ class TestStateVector:
         with pytest.raises(DomainError):
             StateVector(1, np.array([1.0, bad]))
 
+    @pytest.mark.parametrize(
+        "amplitudes", [["1", "0"], [b"1", b"0"], [True, False], np.array([False, True])]
+    )
+    def test_rejects_string_and_bool_amplitudes(self, amplitudes):
+        # a complex cast would parse the strings and count the bools as 1 and 0
+        with pytest.raises(DomainError, match="^amplitudes must be numbers$"):
+            StateVector(1, amplitudes)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32, np.float64, np.complex64])
+    def test_numeric_dtypes_construct_as_complex128(self, dtype):
+        amplitudes = np.array([0, 1], dtype=dtype)
+        state = StateVector(1, amplitudes)
+        assert state.amplitudes.dtype == np.complex128
+        np.testing.assert_array_equal(state.amplitudes, amplitudes.astype(np.complex128))
+
+    def test_amplitudes_are_an_owned_read_only_copy(self):
+        amplitudes = np.array([0.6, 0.8j])
+        state = StateVector(1, amplitudes)
+        amplitudes[0] = 0.8  # the caller's array, written after construction
+        np.testing.assert_array_equal(state.amplitudes, [0.6, 0.8j])
+        assert not np.shares_memory(state.amplitudes, amplitudes)
+        assert state.amplitudes.flags.c_contiguous and not state.amplitudes.flags.writeable
+
 
 class TestMixWithWhiteNoise:
     def test_full_visibility_is_projector(self):
@@ -307,6 +330,22 @@ class TestDensityMatrixValidation:
         assert rho.entries.dtype == complex
         np.testing.assert_array_equal(rho.entries, mat)
         np.testing.assert_array_equal(mat, np.diag([0.25, 0.75]))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[["0.5", "0"], ["0", "0.5"]], [[b"0.5", b"0"], [b"0", b"0.5"]], np.diag([True, False])],
+    )
+    def test_rejects_string_and_bool_entries(self, entries):
+        # a complex cast would parse the strings and count the bools as 1 and 0
+        with pytest.raises(DomainError, match="^density matrix entries must be numbers$"):
+            DensityMatrix(1, entries)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32, np.float64, np.complex64])
+    def test_numeric_dtypes_construct_as_complex128(self, dtype):
+        entries = np.diag([0, 1]).astype(dtype)
+        rho = DensityMatrix(1, entries)
+        assert rho.entries.dtype == np.complex128
+        np.testing.assert_array_equal(rho.entries, entries.astype(np.complex128))
 
     def test_rejects_non_hermitian(self):
         mat = np.eye(2, dtype=complex)
