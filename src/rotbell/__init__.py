@@ -25,7 +25,7 @@ from .criterion import (
     ghz_thresholds,
     ri_criterion,
 )
-from .errors import BudgetError, DomainError, InvalidSizeError, RotbellError, ShapeError
+from .errors import DomainError, InvalidSizeError, RotbellError, ShapeError
 from .functional_space import (
     PROJECTION_NORM_BOUND,
     ResponseFunction,

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, _check_party_count, _check_visibility, _is_integer
+from .errors import DomainError, ShapeError, _check_party_count, _check_real, _check_visibility
 from .states import MAX_STATE_PARTIES, MixedState, contract, planar_expectations
 
 _ENTRY_BOUND = 1.0 + 1e-9
@@ -35,8 +35,7 @@ class CorrelationTensor:
 
     def __post_init__(self):
         _check_party_count(self.n_parties)
-        if np.asarray(self.values).dtype.kind in "USbc":  # each would cast to float silently
-            raise DomainError("tensor entries must be real")
+        _check_real("tensor entries", self.values)
         vals = np.array(self.values, dtype=float, order="C")  # owned, never the caller's array
         if vals.shape != (2,) * self.n_parties:
             raise ShapeError(f"expected shape {(2,) * self.n_parties}, got {vals.shape}")
@@ -45,16 +44,6 @@ class CorrelationTensor:
             raise DomainError(f"tensor entry magnitude {peak} exceeds 1 or is not finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def entry(self, multi_index: Sequence[int]) -> float:
-        """Entry for a multi-index of planar indices, each 1 or 2."""
-        if len(multi_index) != self.n_parties:
-            raise ShapeError(
-                f"multi-index length {len(multi_index)} != n_parties {self.n_parties}"
-            )
-        if any(not _is_integer(i) or i not in (1, 2) for i in multi_index):
-            raise DomainError(f"planar indices must be 1 or 2, got {tuple(multi_index)}")
-        return float(self.values[tuple(i - 1 for i in multi_index)])
 
     def to_json_dict(self) -> dict:
         """JSON form: {"n": N, "entries": {"1122": value, ...}}, zeros omitted."""
@@ -133,6 +122,7 @@ def correlation_value(tensor: CorrelationTensor, angles: Sequence[float]) -> flo
     sum over all multi-indices of the tensor entry times the product of
     cos/sin factors chosen by the index.
     """
+    _check_real("angles", angles)
     arr = np.asarray(angles, dtype=float)
     if arr.shape != (tensor.n_parties,):
         raise ShapeError(f"angles of shape {arr.shape} for a {tensor.n_parties}-party tensor")
@@ -166,6 +156,7 @@ def rotate_frames(tensor: CorrelationTensor, deltas: Sequence[float]) -> Correla
     Contracting the result with directions at angles (a_j - d_j)
     reproduces the original correlation values at angles a_j.
     """
+    _check_real("rotation angles", deltas)
     if len(deltas) != tensor.n_parties:
         raise ShapeError(f"{len(deltas)} rotation angles for a {tensor.n_parties}-party tensor")
     rows = [[[math.cos(d), math.sin(d)], [-math.sin(d), math.cos(d)]] for d in deltas]

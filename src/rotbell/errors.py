@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the one check each for counts and visibilities."""
+"""Exception types of the package, and the one check each for counts, reals and visibilities."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class RotbellError(Exception):
@@ -20,23 +22,21 @@ class ShapeError(RotbellError, ValueError):
     """Operands have mismatched party counts or array shapes."""
 
 
-class BudgetError(RotbellError):
-    """A computation would exceed its configured evaluation budget."""
-
-
-def _is_integer(value) -> bool:
-    """An int or a numpy integer; a bool, a float or a string is not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _check_count(name: str, value, low: int = 1, cap: float = math.inf, error=DomainError) -> None:
     """Raise ``error`` unless ``value`` is an integer in [low, cap]."""
-    if type(value) is not int and not _is_integer(value):  # the exact type first: it is cheap
+    # an int or a numpy integer, the exact type first as it is cheap; a bool is no count
+    if type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):
         raise error(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise error(f"{name} must be >= {low}, got {value}")
     if value > cap:
         raise error(f"{name}={value} exceeds the configured cap of {cap}")
+
+
+def _check_real(name: str, values) -> None:
+    """Raise unless ``values`` is real: strings, bytes, bools and complex would cast to float."""
+    if np.asarray(values).dtype.kind in "USbc":
+        raise DomainError(f"{name} must be real")
 
 
 def _check_visibility(value) -> None:

@@ -12,16 +12,18 @@ products, exact for trigonometric polynomials of low per-axis degree.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, _check_count, _check_party_count
+from .errors import DomainError, _check_count, _check_party_count, _check_real
 
 #: Largest possible projection norm of a +/-1-valued response.
 PROJECTION_NORM_BOUND = 4.0 / math.sqrt(math.pi)
+
+#: Most grid nodes ``quadrature_inner_product`` evaluates.
+_MAX_NODES = 10**8
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,7 @@ class ResponseFunction:
     leading_sign: int
 
     def __init__(self, breakpoints: Sequence[float] = (), leading_sign: int = 1):
+        _check_real("breakpoints", breakpoints)
         bps = tuple(float(b) for b in breakpoints)
         if len(bps) % 2 != 0:
             raise DomainError(f"breakpoint count must be even, got {len(bps)}")
@@ -54,6 +57,7 @@ class ResponseFunction:
 
     def __call__(self, alpha):
         """Evaluate at one angle or a numpy array of angles; returns +/-1."""
+        _check_real("angles", alpha)
         a = np.asarray(alpha, dtype=float) % math.tau
         crossings = np.searchsorted(self.breakpoints, a, side="right")
         out = self.leading_sign * np.where(crossings % 2 == 0, 1.0, -1.0)
@@ -108,6 +112,7 @@ def saturating_response(psi: float) -> ResponseFunction:
     Its overlaps are 4 * (cos psi, sin psi), so its projection norm attains
     the bound 4/sqrt(pi).
     """
+    _check_real("psi", psi)
     b1 = float(psi + math.pi / 2.0) % math.tau
     b2 = float(psi + 3.0 * math.pi / 2.0) % math.tau
     # sgn cos is -1 on [b1, b2) unless that interval wraps past 2*pi
@@ -119,27 +124,19 @@ def quadrature_inner_product(
     g: Callable[..., np.ndarray],
     n_parties: int,
     nodes_per_axis: int = 64,
-    *,
-    max_evaluations: int = 10**8,
 ) -> float:
     """Trapezoid approximation of the integral of f*g over [0, 2*pi]^N.
 
     Uniform periodic nodes make the rule exact (up to roundoff) for
     trigonometric-polynomial integrands of per-axis degree below
     ``nodes_per_axis`` / 2.  Each integrand is a callable taking N
-    broadcastable angle arrays; the full grid is guarded by
-    ``max_evaluations``.
+    broadcastable angle arrays; a grid of more than ``_MAX_NODES`` = 10^8
+    nodes is refused before it is built.
     """
     _check_party_count(n_parties)
     _check_count("nodes_per_axis", nodes_per_axis, 8)
-    budget = max_evaluations  # an int or a float such as 1e8; a bool, a string or NaN is none
-    if isinstance(budget, bool) or not isinstance(budget, numbers.Real) or not budget > 0:
-        raise DomainError(f"max_evaluations must be a number > 0, got {budget!r}")
-    if nodes_per_axis**n_parties > max_evaluations:
-        raise BudgetError(
-            f"{nodes_per_axis}^{n_parties} grid nodes exceed the budget of "
-            f"{max_evaluations}; raise max_evaluations"
-        )
+    if int(nodes_per_axis) ** int(n_parties) > _MAX_NODES:  # a numpy power would wrap
+        raise DomainError(f"{nodes_per_axis}^{n_parties} grid nodes exceed {_MAX_NODES}")
     nodes = math.tau * np.arange(nodes_per_axis) / nodes_per_axis
     grids = np.meshgrid(*([nodes] * n_parties), indexing="ij", sparse=True)
     weight = math.tau / nodes_per_axis

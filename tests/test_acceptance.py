@@ -76,7 +76,7 @@ def test_criterion_1_ghz_tensor_structure():
                 for idx in itertools.product((1, 2), repeat=n):
                     k = sum(1 for i in idx if i == 2)
                     expected = v * (-1.0) ** (k // 2) if k % 2 == 0 else 0.0
-                    assert closed.entry(idx) == expected
+                    assert closed.values[tuple(i - 1 for i in idx)] == expected
 
 
 def test_criterion_2_tmax_equals_visibility():

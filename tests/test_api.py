@@ -40,7 +40,6 @@ SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 PUBLIC = [
     "BOUND_TOLERANCE",
     "BoundVerification",
-    "BudgetError",
     "CorrelationTensor",
     "CriterionReport",
     "DensityMatrix",
@@ -113,6 +112,7 @@ class TestAll:
         "name",
         [
             "AngleSettings",
+            "BudgetError",
             "FourierProjection",
             "LhvEnsemble",
             "PauliAxis",

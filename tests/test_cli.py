@@ -59,8 +59,8 @@ class TestTensorCommand:
         )
         assert code == 0
         tensor = CorrelationTensor.from_json_dict(json.loads(out.read_text()))
-        assert tensor.entry((1, 1, 1)) == 0.5
-        assert tensor.entry((1, 2, 2)) == -0.5
+        assert tensor.values[0, 0, 0] == 0.5
+        assert tensor.values[0, 1, 1] == -0.5
 
     def test_stdout_default(self, capsys):
         code, out, _ = run_cli(capsys, "tensor", "--ghz", "2", "--visibility", "1.0")

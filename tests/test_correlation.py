@@ -46,7 +46,7 @@ def brute_force_value(tensor, angles):
         factor = 1.0
         for j, i in enumerate(idx):
             factor *= math.cos(angles[j]) if i == 1 else math.sin(angles[j])
-        total += tensor.entry(idx) * factor
+        total += tensor.values[tuple(i - 1 for i in idx)] * factor
     return total
 
 
@@ -60,11 +60,11 @@ class TestTensorFromState:
         tensor = tensor_from_state(rho)
         expected = oracle_tensor(dense(rho), 2)
         for idx, value in expected.items():
-            assert tensor.entry(idx) == pytest.approx(value, abs=1e-12)
-        assert tensor.entry((1, 1)) == pytest.approx(1.0, abs=1e-10)
-        assert tensor.entry((2, 2)) == pytest.approx(-1.0, abs=1e-10)
-        assert tensor.entry((1, 2)) == pytest.approx(0.0, abs=1e-12)
-        assert tensor.entry((2, 1)) == pytest.approx(0.0, abs=1e-12)
+            assert tensor.values[tuple(i - 1 for i in idx)] == pytest.approx(value, abs=1e-12)
+        assert tensor.values[0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert tensor.values[1, 1] == pytest.approx(-1.0, abs=1e-10)
+        assert tensor.values[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert tensor.values[1, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_white_noise_gives_zero_tensor(self):
         for n in (1, 2, 3):
@@ -77,12 +77,12 @@ class TestTensorFromState:
         tensor = tensor_from_state(rho)
         expected = oracle_tensor(dense(rho), 3)
         for idx, value in expected.items():
-            assert tensor.entry(idx) == pytest.approx(value, abs=1e-12)
-        assert tensor.entry((1, 1, 1)) == pytest.approx(1.0, abs=1e-10)
+            assert tensor.values[tuple(i - 1 for i in idx)] == pytest.approx(value, abs=1e-12)
+        assert tensor.values[0, 0, 0] == pytest.approx(1.0, abs=1e-10)
         for idx in ((1, 2, 2), (2, 1, 2), (2, 2, 1)):
-            assert tensor.entry(idx) == pytest.approx(-1.0, abs=1e-10)
+            assert tensor.values[tuple(i - 1 for i in idx)] == pytest.approx(-1.0, abs=1e-10)
         for idx in ((1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 2)):
-            assert tensor.entry(idx) == pytest.approx(0.0, abs=1e-12)
+            assert tensor.values[tuple(i - 1 for i in idx)] == pytest.approx(0.0, abs=1e-12)
 
     def test_random_dense_states_against_trace_oracle(self, wishart):
         rng = np.random.default_rng(41)
@@ -90,7 +90,7 @@ class TestTensorFromState:
             rho = DensityMatrix(n, wishart(rng, n))
             tensor = tensor_from_state(rho)
             for idx, value in oracle_tensor(rho.entries, n).items():
-                assert tensor.entry(idx) == pytest.approx(value, abs=1e-12)
+                assert tensor.values[tuple(i - 1 for i in idx)] == pytest.approx(value, abs=1e-12)
 
     def test_ghz10_matches_closed_form(self):
         measured = tensor_from_state(mix_with_white_noise(build_ghz(10), 0.7))
@@ -101,10 +101,10 @@ class TestTensorFromState:
 class TestGhzPlanarTensor:
     def test_n4_sign_rule(self):
         tensor = ghz_planar_tensor(4, 0.8)
-        assert tensor.entry((1, 1, 1, 1)) == pytest.approx(0.8)
-        assert tensor.entry((1, 1, 2, 2)) == pytest.approx(-0.8)
-        assert tensor.entry((2, 2, 2, 2)) == pytest.approx(0.8)
-        assert tensor.entry((1, 2, 2, 2)) == 0.0
+        assert tensor.values[0, 0, 0, 0] == pytest.approx(0.8)
+        assert tensor.values[0, 0, 1, 1] == pytest.approx(-0.8)
+        assert tensor.values[1, 1, 1, 1] == pytest.approx(0.8)
+        assert tensor.values[0, 1, 1, 1] == 0.0
 
     def test_n4_against_measured_tensor(self):
         closed = ghz_planar_tensor(4, 0.8)
@@ -164,7 +164,7 @@ class TestCorrelationValue:
         rng = np.random.default_rng(4)
         tensor = random_tensor(rng, 3)
         value = correlation_value(tensor, [0.0, 0.0, 0.0])
-        assert value == pytest.approx(tensor.entry((1, 1, 1)), abs=1e-12)
+        assert value == pytest.approx(tensor.values[0, 0, 0], abs=1e-12)
 
     def test_zero_tensor(self):
         tensor = CorrelationTensor(2, np.zeros((2, 2)))
@@ -208,6 +208,35 @@ class TestCorrelationValue:
                     rotate_frames(tensor, -deltas), angles + deltas
                 )
                 assert counter == pytest.approx(original, abs=1e-10)
+
+
+NOT_REAL_ANGLES = [["0.1", "0.2"], [b"0", b"1"], [True, False], np.array([True, False]), [0.1j, 0.2]]
+
+
+class TestAnglesMustBeReal:
+    """Strings, bytes, bools and complex numbers are no angles: a float cast
+    would parse the strings, take the bools as 1.0 and 0.0 and drop the
+    imaginary parts."""
+
+    @pytest.mark.parametrize("angles", NOT_REAL_ANGLES)
+    def test_correlation_value_rejects(self, angles):
+        with pytest.raises(DomainError, match="^angles must be real$"):
+            correlation_value(ghz_planar_tensor(2, 0.5), angles)
+
+    @pytest.mark.parametrize("deltas", NOT_REAL_ANGLES)
+    def test_rotate_frames_rejects(self, deltas):
+        with pytest.raises(DomainError, match="^rotation angles must be real$"):
+            rotate_frames(ghz_planar_tensor(2, 0.5), deltas)
+
+    @pytest.mark.parametrize(
+        "angles", [[0, 1], (0.0, 1.0), [np.float64(0), np.int64(1)], np.array([0.0, 1.0]), np.arange(2)]
+    )
+    def test_numbers_give_the_float_result(self, angles):
+        tensor = random_tensor(np.random.default_rng(8), 2)
+        assert correlation_value(tensor, angles) == correlation_value(tensor, [0.0, 1.0])
+        np.testing.assert_array_equal(
+            rotate_frames(tensor, angles).values, rotate_frames(tensor, [0.0, 1.0]).values
+        )
 
 
 def chain_contraction(values, vectors):
@@ -301,8 +330,8 @@ class TestTensorLayoutAndJson:
 
     def test_json_missing_keys_mean_zero(self):
         tensor = CorrelationTensor.from_json_dict({"n": 2, "entries": {"11": 1.0}})
-        assert tensor.entry((1, 1)) == 1.0
-        assert tensor.entry((2, 2)) == 0.0
+        assert tensor.values[0, 0] == 1.0
+        assert tensor.values[1, 1] == 0.0
 
     @pytest.mark.parametrize("n", [1.9, 2.0, "2", True, None, [2]])
     def test_json_rejects_non_integer_n(self, n):
@@ -327,25 +356,13 @@ class TestTensorLayoutAndJson:
         with pytest.raises(DomainError):
             CorrelationTensor.from_json_dict({"n": 2, "entries": {"111": 1.0}})
 
-    def test_entry_validation(self):
-        tensor = ghz_planar_tensor(2, 1.0)
-        with pytest.raises(DomainError):
-            tensor.entry((0, 1))
-        with pytest.raises(ShapeError):
-            tensor.entry((1, 1, 1))
-        # integers only: 1.0 and True compare equal to 1 but are no planar index
-        for index in ((1.0, 2), (2, 2.0), (True, 1), (1, False), (np.float64(1), 1), ("1", 1)):
-            with pytest.raises(DomainError, match="planar indices must be 1 or 2"):
-                tensor.entry(index)
-        assert tensor.entry((np.int64(2), np.int64(2))) == tensor.entry((2, 2))
-
     def test_json_rejects_non_numeric_entries(self):
         for entries in ({"11": "abc"}, {"11": None}, {"11": [1.0]}, [1], "11",
                         {"11": "0.5"}, {"11": True}, {"11": " 1e-1 "}, {"11": False}):
             with pytest.raises(DomainError):
                 CorrelationTensor.from_json_dict({"n": 2, "entries": entries})
         # JSON integers are numbers
-        assert CorrelationTensor.from_json_dict({"n": 2, "entries": {"11": 1}}).entry((1, 1)) == 1.0
+        assert CorrelationTensor.from_json_dict({"n": 2, "entries": {"11": 1}}).values[0, 0] == 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entries(self, bad):

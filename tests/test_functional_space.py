@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rotbell import (
-    BudgetError,
     DomainError,
     InvalidSizeError,
     PROJECTION_NORM_BOUND,
@@ -20,6 +19,7 @@ from rotbell import (
     quadrature_inner_product,
     saturating_response,
 )
+from rotbell import functional_space
 
 TWO_PI = 2 * math.pi
 
@@ -80,6 +80,27 @@ class TestResponseFunction:
     def test_bool_is_no_sign(self, sign):
         with pytest.raises(DomainError, match="leading_sign must be"):
             ResponseFunction((), sign)
+
+    @pytest.mark.parametrize(
+        "bps", [["1", "2"], [b"1", b"2"], [False, True], np.array([False, True]), [1j, 2]]
+    )
+    def test_breakpoints_must_be_real(self, bps):
+        # a float cast would parse the strings and take the bools as 0.0 and 1.0
+        with pytest.raises(DomainError, match="^breakpoints must be real$"):
+            ResponseFunction(bps)
+
+    @pytest.mark.parametrize(
+        "bps", [[1, 2], [np.float64(1), np.int64(2)], np.array([1.0, 2.0]), np.arange(1, 3)]
+    )
+    def test_numeric_breakpoints_give_floats(self, bps):
+        r = ResponseFunction(bps)
+        assert r == ResponseFunction((1.0, 2.0))
+        assert all(type(b) is float for b in r.breakpoints)
+
+    @pytest.mark.parametrize("alpha", ["2", True, ["0.5", "2"], np.array([False, True]), 2j])
+    def test_angles_must_be_real(self, alpha):
+        with pytest.raises(DomainError, match="^angles must be real$"):
+            ResponseFunction((1.0, 4.0), 1)(alpha)
 
     def test_constant(self):
         one = ResponseFunction((), 1)
@@ -161,6 +182,15 @@ class TestSaturatingResponse:
         assert r.breakpoints == pytest.approx((math.pi / 2, 3 * math.pi / 2))
         assert r.leading_sign == 1
 
+    @pytest.mark.parametrize("psi", [True, False, np.bool_(True), "1", b"1", 1j])
+    def test_psi_must_be_real(self, psi):
+        with pytest.raises(DomainError, match="^psi must be real$"):
+            saturating_response(psi)
+
+    @pytest.mark.parametrize("psi", [1, np.int64(1), np.float64(1.0), np.array(1.0)])
+    def test_numeric_psi_gives_the_float_result(self, psi):
+        assert saturating_response(psi) == saturating_response(1.0)
+
     def test_antialigned(self):
         r = saturating_response(math.pi)
         assert r.breakpoints == pytest.approx((math.pi / 2, 3 * math.pi / 2))
@@ -220,32 +250,28 @@ class TestQuadratureInnerProduct:
         value = quadrature_inner_product(np.cos, np.sin, 1, 64)
         assert value == pytest.approx(0.0, abs=1e-12)
 
-    def test_budget_guard(self):
+    @pytest.mark.parametrize("n, nodes", [(5, 64), (np.int64(30), 8), (30, np.int64(8))])
+    def test_grid_guard_runs_before_any_grid(self, monkeypatch, n, nodes):
+        # numpy integers too, whose power 8^30 would wrap to 0 and pass the guard
+        def never(*args, **kwargs):
+            raise AssertionError("the guard let the grid through")
+
+        monkeypatch.setattr(np, "meshgrid", never)
+        with pytest.raises(DomainError, match=rf"^{nodes}\^{n} grid nodes exceed 100000000$"):
+            quadrature_inner_product(never, never, n, nodes)
+
+    def test_grid_guard_limit_is_max_nodes(self, monkeypatch):
+        assert functional_space._MAX_NODES == 10**8
+        monkeypatch.setattr(functional_space, "_MAX_NODES", 32**4)
         fn = correlation_function(ghz_planar_tensor(4, 0.5))
-        message = r"64\^4 grid nodes exceed the budget of 1000000; raise max_evaluations$"
-        with pytest.raises(BudgetError, match=message):
-            quadrature_inner_product(fn, fn, 4, 64, max_evaluations=10**6)
-        # at the budget the grid runs: 32^4 nodes
-        assert quadrature_inner_product(fn, fn, 4, 32, max_evaluations=32**4) == pytest.approx(
-            math.pi**4 * 0.25 * 8, rel=1e-12
-        )
+        # at the limit the grid runs: 32^4 nodes
+        assert quadrature_inner_product(fn, fn, 4, 32) == pytest.approx(math.pi**4 * 0.25 * 8, rel=1e-12)
+        with pytest.raises(DomainError, match=r"^33\^4 grid nodes exceed 1048576$"):
+            quadrature_inner_product(fn, fn, 4, 33)
 
-    @pytest.mark.parametrize(
-        "budget", ["9", "1e8", True, False, np.bool_(True), math.nan, 0, -1, 0.0, -1e8, None]
-    )
-    def test_rejects_bad_budget(self, budget):
-        with pytest.raises(DomainError, match="max_evaluations must be a number > 0, got "):
-            quadrature_inner_product(np.cos, np.cos, 1, 8, max_evaluations=budget)
-
-    @pytest.mark.parametrize("budget", [8, 1e8, np.int64(8), np.float64(8.0), 8.5, math.inf])
-    def test_accepts_int_and_float_budgets(self, budget):
-        assert quadrature_inner_product(np.cos, np.cos, 1, 8, max_evaluations=budget) == pytest.approx(
-            math.pi, rel=1e-14
-        )
-
-    def test_float_budget_still_guards(self):
-        with pytest.raises(BudgetError, match=r"8\^2 grid nodes exceed the budget of 63.5"):
-            quadrature_inner_product(np.cos, np.cos, 2, 8, max_evaluations=63.5)
+    def test_budget_is_no_keyword(self):
+        with pytest.raises(TypeError, match="max_evaluations"):
+            quadrature_inner_product(np.cos, np.cos, 1, 8, max_evaluations=10**8)
 
     def test_node_count_floor(self):
         with pytest.raises(DomainError):

@@ -55,7 +55,7 @@ def quad_lr_oracle(strategy, tensor):
         overlaps.append((a, b))
     total = 0.0
     for idx in itertools.product((1, 2), repeat=tensor.n_parties):
-        term = tensor.entry(idx)
+        term = tensor.values[tuple(i - 1 for i in idx)]
         for j, i in enumerate(idx):
             term *= overlaps[j][i - 1]
         total += term
